@@ -4,57 +4,62 @@ The engine is intentionally small: a :class:`Tensor` wraps an ndarray
 together with a gradient slot and a backward closure, and the operations
 below cover exactly what the graph encoder, the attention decoder and
 their training losses need.  Default precision is float32; gradient-check
-suites switch the whole engine to float64 through :func:`default_dtype`.
+suites switch the engine to float64 through :func:`default_dtype`.
+
+Matrix-product and embedding-lookup gradients are not summed as they
+arrive.  ``matmul`` stores the operand pair of each outer product on the
+receiving matrix and ``row`` stores each looked-up index with its
+gradient; when the reverse sweep reaches the matrix, all stored pairs
+become its gradient in one GEMM and all stored rows in one scatter-add.
+So each weight gradient is built once per backward, and an embedding's
+cost does not grow with the vocabulary.
+
+Grad mode (:func:`no_grad`) and the default dtype are context variables:
+each thread starts from the defaults and switching them in one thread
+never affects another.
 """
 
 from __future__ import annotations
 
 import contextlib
+from contextvars import ContextVar
 from typing import Sequence
 
 import numpy as np
 
-_DEFAULT_DTYPE: type = np.float32
-_GRAD_ENABLED: bool = True
+_DEFAULT_DTYPE: ContextVar[type] = ContextVar("default_dtype", default=np.float32)
+_GRAD_ENABLED: ContextVar[bool] = ContextVar("grad_enabled", default=True)
 
 
 class AutodiffError(ValueError):
     """Shape mismatch or misuse of the autodiff engine."""
 
 
-def set_default_dtype(dtype) -> None:
-    global _DEFAULT_DTYPE
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise AutodiffError(f"unsupported dtype {dt}; use float32 or float64")
-    _DEFAULT_DTYPE = dt.type
-
-
 def get_default_dtype() -> type:
-    return _DEFAULT_DTYPE
+    return _DEFAULT_DTYPE.get()
 
 
 @contextlib.contextmanager
 def default_dtype(dtype):
     """Temporarily change the dtype used for newly created tensors."""
-    old = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
+    dt = np.dtype(dtype)
+    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
+        raise AutodiffError(f"unsupported dtype {dt}; use float32 or float64")
+    token = _DEFAULT_DTYPE.set(dt.type)
     try:
         yield
     finally:
-        set_default_dtype(old)
+        _DEFAULT_DTYPE.reset(token)
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable graph building; forward values only (inference mode)."""
-    global _GRAD_ENABLED
-    old = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = old
+        _GRAD_ENABLED.reset(token)
 
 
 class Tensor:
@@ -65,14 +70,16 @@ class Tensor:
     :meth:`backward` until explicitly reset.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_pairs", "_rows")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE.get())
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
         self._backward = None
+        self._pairs: tuple | None = None  # ([u], [v]): grad += U.T @ V
+        self._rows: tuple | None = None  # ([index], [g]): grad[index] += g
 
     @property
     def shape(self) -> tuple:
@@ -97,6 +104,9 @@ class Tensor:
         order = _toposort(self)
         _accumulate(self, np.ones_like(self.data))
         for node in reversed(order):
+            # Every consumer of node has run, so its deferred terms are final.
+            if node._pairs is not None or node._rows is not None:
+                _flush(node)
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
@@ -149,14 +159,39 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
         t.grad = np.array(g, copy=True)
     else:
-        t.grad = t.grad + g
+        t.grad += g
+
+
+def _defer_outer(t: Tensor, u: np.ndarray, v: np.ndarray) -> None:
+    """Record the gradient term u.T @ v of matrix t; a vector counts as one row."""
+    m, n = t.data.shape
+    if t._pairs is None:
+        t._pairs = ([], [])
+    t._pairs[0].append(u.reshape(-1, m))
+    t._pairs[1].append(v.reshape(-1, n))
+
+
+def _flush(t: Tensor) -> None:
+    """Add t's deferred terms to its gradient: one GEMM, one scatter-add."""
+    if t._pairs is not None:
+        us, vs = t._pairs
+        t._pairs = None
+        _accumulate(t, np.concatenate(us).T @ np.concatenate(vs))
+    if t._rows is not None:
+        index, gs = t._rows
+        t._rows = None
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+        # add.at sums repeated indices; fancy-index += would keep only one.
+        np.add.at(t.grad, index, np.stack(gs))
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    out._pairs = out._rows = None
+    if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -172,7 +207,7 @@ def _as_tensor(x) -> Tensor:
 
 
 def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=_DEFAULT_DTYPE))
+    return Tensor(np.zeros(shape, dtype=_DEFAULT_DTYPE.get()))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -244,15 +279,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             if b.data.ndim == 2:
                 _accumulate(a, g @ b.data.T)
-            elif a.data.ndim == 2:  # (n,p) @ (p,) -> (n,)
-                _accumulate(a, np.outer(g, b.data))
+            elif a.data.ndim == 2:  # (n,p) @ (p,) -> (n,): outer(g, b)
+                _defer_outer(a, g, b.data)
             else:  # (p,) @ (p,) -> ()
                 _accumulate(a, g * b.data)
         if b.requires_grad:
-            if a.data.ndim == 2:
+            if b.data.ndim == 2:  # a.T @ g, or outer(a, g) for a vector a
+                _defer_outer(b, a.data, g)
+            elif a.data.ndim == 2:
                 _accumulate(b, a.data.T @ g)
-            elif b.data.ndim == 2:  # (p,) @ (p,q) -> (q,)
-                _accumulate(b, np.outer(a.data, g))
             else:
                 _accumulate(b, g * a.data)
 
@@ -368,9 +403,10 @@ def row(m: Tensor, i: int) -> Tensor:
     out = m.data[i]
 
     def backward(g):
-        gm = np.zeros_like(m.data)
-        gm[i] = g
-        _accumulate(m, gm)
+        if m._rows is None:
+            m._rows = ([], [])
+        m._rows[0].append(i)
+        m._rows[1].append(g)
 
     return _result(out, (m,), backward)
 

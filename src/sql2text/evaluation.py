@@ -9,10 +9,9 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from . import __version__
 from .data import ExamplePair
 from .model import GraphToSequenceModel
-
-TOOL_VERSION = "0.1.0"
 
 
 @dataclass
@@ -171,7 +170,7 @@ def config_hash(config: dict) -> str:
 
 def write_report(path, report: EvalReport, config: dict) -> None:
     payload = report.to_dict()
-    payload["tool_version"] = TOOL_VERSION
+    payload["tool_version"] = __version__
     payload["config"] = config
     payload["config_hash"] = config_hash(config)
     with open(path, "w", encoding="utf-8") as fh:

@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, default_dtype
+from .autodiff import Tensor, default_dtype, no_grad
 from .data import EOS, Vocabulary
 from .decoder import (
     DecoderConfig,
@@ -121,7 +121,8 @@ class GraphToSequenceModel:
         greedy: bool = False,
     ) -> list[str]:
         graph = query if isinstance(query, QueryGraph) else self.prepare(query)
-        node_matrix, graph_emb = self.encode_graph(graph)
+        with no_grad():
+            node_matrix, graph_emb = self.encode_graph(graph)
         cfg = self.config.decoder_config()
         if greedy:
             ids = greedy_decode(node_matrix, graph_emb, self.store, cfg)

@@ -82,11 +82,17 @@ class TrainResult:
     vector_coverage: float | None = None
 
 
+def _graph(model: GraphToSequenceModel, graphs: dict, sql: str):
+    """The query graph of sql, built on the first request only."""
+    if sql not in graphs:
+        graphs[sql] = model.prepare(sql)
+    return graphs[sql]
+
+
 def _dev_bleu(model: GraphToSequenceModel, pairs: list[ExamplePair], graphs: dict) -> float:
     hyps, refs = [], []
     for pair in pairs:
-        graph = graphs.setdefault(pair.sql, model.prepare(pair.sql))
-        hyps.append(model.generate(graph, greedy=True))
+        hyps.append(model.generate(_graph(model, graphs, pair.sql), greedy=True))
         refs.append(list(pair.target))
     return bleu4_corpus(hyps, refs).corpus_bleu4
 
@@ -139,9 +145,8 @@ def train(
             total = None
             tokens = 0
             for pair in batch:
-                graph = graphs.setdefault(pair.sql, model.prepare(pair.sql))
                 loss, count = model.example_loss(
-                    graph, pair.target, train=True, rng=dropout_rng
+                    _graph(model, graphs, pair.sql), pair.target, train=True, rng=dropout_rng
                 )
                 total = loss if total is None else total + loss
                 tokens += count

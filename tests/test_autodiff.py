@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -184,6 +185,17 @@ OP_CASES = {
     "softmax": lambda p: ad.pick(ad.softmax(ad.row(p, 1)), 0),
     "log_softmax": lambda p: ad.pick(ad.log_softmax(ad.row(p, 1)), 2),
     "neg_sub": lambda p: ad.tsum(p - ad.scale(p, 0.5)),
+    # p receives deferred outer products from vector and matrix products.
+    "matmul_shared_weight": lambda p: (
+        ad.tsum(ad.tanh(ad.matmul(ad.row(p, 0), p)) + ad.matmul(ad.row(p, 2), p))
+        + ad.tsum(ad.matmul(ad.tanh(p), p))
+    ),
+    # Non-leaf matrices receive deferred pairs, then backpropagate them.
+    "nonleaf_pairs": lambda p: (
+        ad.tsum(ad.tanh(ad.matmul(ad.softmax(ad.row(p, 1)), ad.tanh(p))))
+        + ad.tsum(ad.tanh(ad.matmul(ad.stack([ad.row(p, 2), ad.row(p, 0)]), ad.row(p, 0))))
+    ),
+    "row_repeated_index": lambda p: ad.tsum(ad.mul(ad.row(p, 1), ad.row(p, 1)) + ad.row(p, 1)),
 }
 
 
@@ -196,6 +208,46 @@ def test_op_gradients_match_finite_differences(name, f64):
     loss.backward()
     fd = _central_diff(lambda: float(OP_CASES[name](p).data), p.data)
     assert np.allclose(p.grad, fd, atol=1e-6), f"{name}: {p.grad} vs {fd}"
+
+
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+def test_op_gradients_accumulate_over_backward_calls(name, f64):
+    rng = np.random.default_rng(hash(name) % 2**32)
+    p = param(rng.normal(size=(3, 3)) + 0.1)
+    OP_CASES[name](p).backward()
+    first = p.grad.copy()
+    OP_CASES[name](p).backward()
+    assert np.allclose(p.grad, 2 * first, rtol=1e-12, atol=0)
+
+
+class TestDeferredGradients:
+    def test_shared_weight_matches_dense_outer_sum(self, f64):
+        rng = np.random.default_rng(5)
+        w = param(rng.normal(size=(4, 3)))
+        xs = [rng.normal(size=4) for _ in range(3)]
+        cs = [rng.normal(size=3) for _ in range(3)]
+        m, cm = rng.normal(size=(2, 4)), rng.normal(size=(2, 3))
+        loss = ad.tsum(ad.mul(ad.matmul(Tensor(m), w), Tensor(cm)))
+        for x, c in zip(xs, cs):
+            loss = loss + ad.tsum(ad.mul(ad.matmul(Tensor(x), w), Tensor(c)))
+        loss.backward()
+        dense = m.T @ cm + sum(np.outer(x, c) for x, c in zip(xs, cs))
+        assert np.allclose(w.grad, dense, rtol=1e-12, atol=1e-12)
+
+    def test_repeated_row_lookups_sum(self, f64):
+        embed = param(np.zeros((5, 2)))
+        loss = ad.tsum(ad.row(embed, 3)) + ad.tsum(ad.scale(ad.row(embed, 3), 2.0))
+        (loss + ad.tsum(ad.row(embed, 1))).backward()
+        expected = np.zeros((5, 2))
+        expected[3] = 3.0
+        expected[1] = 1.0
+        assert np.array_equal(embed.grad, expected)
+
+    def test_untouched_parameters_keep_no_gradient(self, f64):
+        embed, w, unused = param(np.ones((4, 2))), param(np.ones((2, 3))), param(np.ones((2, 3)))
+        ad.tsum(ad.matmul(ad.row(embed, 2), w)).backward()
+        assert embed.grad is not None and w.grad is not None
+        assert unused.grad is None
 
 
 def test_dropout_gradient_matches_mask(f64):
@@ -215,6 +267,26 @@ def test_no_grad_blocks_graph_building():
         out = ad.tanh(p)
     assert not out.requires_grad
     assert out._parents == ()
+
+
+def test_modes_are_local_to_a_thread():
+    entered, release = threading.Event(), threading.Event()
+
+    def hold_modes():
+        with ad.no_grad(), ad.default_dtype(np.float64):
+            entered.set()
+            release.wait(timeout=10)
+
+    worker = threading.Thread(target=hold_modes)
+    worker.start()
+    try:
+        assert entered.wait(timeout=10)
+        assert ad.tanh(param([1.0])).requires_grad
+        assert Tensor([1.0]).data.dtype == np.float32
+    finally:
+        release.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
 
 
 def test_forward_values_stay_finite():

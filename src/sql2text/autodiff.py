@@ -6,9 +6,14 @@ below cover exactly what the graph encoder, the attention decoder and
 their training losses need.  Default precision is float32; gradient-check
 suites switch the engine to float64 through :func:`default_dtype`.
 
+Operations work on whole batches: the rows of a matrix are the nodes or
+the sequences of a minibatch, and the row-level ops (``gather``,
+``slice_rows``, ``segment_max``, masked ``softmax``) let one op serve the
+whole minibatch instead of a Python loop over vectors.
+
 Matrix-product and embedding-lookup gradients are not summed as they
 arrive.  ``matmul`` stores the operand pair of each outer product on the
-receiving matrix and ``row`` stores each looked-up index with its
+receiving matrix and ``gather`` stores each looked-up index with its
 gradient; when the reverse sweep reaches the matrix, all stored pairs
 become its gradient in one GEMM and all stored rows in one scatter-add.
 So each weight gradient is built once per backward, and an embedding's
@@ -163,7 +168,8 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def _defer_outer(t: Tensor, u: np.ndarray, v: np.ndarray) -> None:
-    """Record the gradient term u.T @ v of matrix t; a vector counts as one row."""
+    """Record the gradient term u.T @ v of matrix t; u and v are reshaped
+    to rows, so a vector counts as one row and a (b, n, m) operand as b*n."""
     m, n = t.data.shape
     if t._pairs is None:
         t._pairs = ([], [])
@@ -183,7 +189,7 @@ def _flush(t: Tensor) -> None:
         if t.grad is None:
             t.grad = np.zeros_like(t.data)
         # add.at sums repeated indices; fancy-index += would keep only one.
-        np.add.at(t.grad, index, np.stack(gs))
+        np.add.at(t.grad, np.concatenate(index), np.concatenate(gs))
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
@@ -222,16 +228,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
+    """Sum of two tensors under numpy broadcasting."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if not (
-        a.data.shape == b.data.shape
-        or a.data.ndim == 0
-        or b.data.ndim == 0
-        or (a.data.ndim == 2 and b.data.shape == a.data.shape[-1:])
-        or (b.data.ndim == 2 and a.data.shape == b.data.shape[-1:])
-    ):
-        raise AutodiffError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
-    out = a.data + b.data
+    try:
+        out = a.data + b.data
+    except ValueError:
+        raise AutodiffError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}") from None
 
     def backward(g):
         _accumulate(a, _unbroadcast(g, a.data.shape))
@@ -335,92 +337,93 @@ def sigmoid(a: Tensor) -> Tensor:
     return _result(out, (a,), backward)
 
 
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate 1-D tensors."""
+def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
+    """Concatenate tensors along an axis, by default the last."""
     if not parts:
         raise AutodiffError("concat of an empty sequence")
-    for p in parts:
-        if p.data.ndim != 1:
-            raise AutodiffError(f"concat expects 1-D tensors, got shape {p.data.shape}")
-    sizes = [p.data.shape[0] for p in parts]
-    out = np.concatenate([p.data for p in parts])
+    out = np.concatenate([p.data for p in parts], axis=axis)
+    bounds = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
 
     def backward(g):
-        offset = 0
-        for p, size in zip(parts, sizes):
-            _accumulate(p, g[offset : offset + size])
-            offset += size
+        for p, gp in zip(parts, np.split(g, bounds, axis=axis)):
+            _accumulate(p, gp)
 
     return _result(out, tuple(parts), backward)
 
 
-def stack(rows: Sequence[Tensor]) -> Tensor:
-    """Stack 1-D tensors of equal length into a (n, d) matrix."""
-    if not rows:
-        raise AutodiffError("stack of an empty sequence")
-    d = rows[0].data.shape
-    for r in rows:
-        if r.data.shape != d:
-            raise AutodiffError(f"stack shape mismatch: {d} vs {r.data.shape}")
-    out = np.stack([r.data for r in rows])
+def gather(m: Tensor, index) -> Tensor:
+    """Rows of m at an int index of any shape (a scalar picks one row, or
+    one element of a vector); repeated indices add up their gradients,
+    which are deferred as (index, g) pairs to one scatter-add."""
+    index = np.asarray(index, dtype=np.intp)
+    out = np.asarray(m.data[index])
+    flat = index.reshape(-1)
 
     def backward(g):
-        for i, r in enumerate(rows):
-            _accumulate(r, g[i])
+        if m._rows is None:
+            m._rows = ([], [])
+        m._rows[0].append(flat)
+        m._rows[1].append(g.reshape((-1,) + m.data.shape[1:]))
 
-    return _result(out, tuple(rows), backward)
+    return _result(out, (m,), backward)
 
 
-def max_rows(m: Tensor) -> Tensor:
-    """Columnwise maximum of a (n, d) matrix.
+def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
+    """Rows start:stop of a, as a view; a itself when that is every row."""
+    if start == 0 and stop == a.data.shape[0]:
+        return a
 
-    The gradient is routed to the argmax row per column; ties go to the
-    lowest row index.
+    def backward(g):
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[start:stop] += g
+
+    return _result(a.data[start:stop], (a,), backward)
+
+
+def reshape(a: Tensor, shape: tuple) -> Tensor:
+    def backward(g):
+        _accumulate(a, g.reshape(a.data.shape))
+
+    return _result(a.data.reshape(shape), (a,), backward)
+
+
+def segment_max(m: Tensor, index: np.ndarray, valid: np.ndarray) -> Tensor:
+    """Row r is the coordinatewise max of m[index[r, k]] over the k with
+    valid[r, k], or zero if there is none; index and valid are (s, j >= 1)
+    and padded entries must still be row numbers of m.  Each coordinate's
+    gradient goes to the first position holding the max (ties: lowest k).
     """
-    if m.data.ndim != 2 or m.data.shape[0] < 1:
-        raise AutodiffError(f"max_rows expects a non-empty matrix, got {m.data.shape}")
-    idx = np.argmax(m.data, axis=0)
+    if index.ndim != 2 or index.shape != valid.shape or index.shape[1] < 1:
+        raise AutodiffError(f"segment_max: bad index/mask shapes {index.shape}, {valid.shape}")
     cols = np.arange(m.data.shape[1])
-    out = m.data[idx, cols]
+    picked = np.where(valid[:, :, None], m.data[index], -np.inf)
+    src = np.take_along_axis(index, picked.argmax(axis=1), axis=1)  # (s, d) source rows
+    empty = ~valid.any(axis=1, keepdims=True)
+    out = np.where(empty, 0.0, m.data[src, cols])
 
     def backward(g):
         gm = np.zeros_like(m.data)
-        gm[idx, cols] = g
+        np.add.at(gm, (src, cols), np.where(empty, 0.0, g))
         _accumulate(m, gm)
 
     return _result(out, (m,), backward)
 
 
-def elementwise_max_reduce(rows: Sequence[Tensor]) -> Tensor:
-    """Coordinatewise maximum over one or more equal-length vectors."""
-    if not rows:
-        raise AutodiffError("elementwise_max_reduce requires at least one row")
-    return max_rows(stack(rows))
-
-
-def row(m: Tensor, i: int) -> Tensor:
-    """Select row i of a matrix (embedding lookup)."""
-    out = m.data[i]
+def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
+    """Two-operand Einstein sum such as ``"bn,bnd->bd"``; each index of an
+    operand must appear in the other operand or the output."""
+    operands, out_idx = spec.split("->")
+    a_idx, b_idx = operands.split(",")
+    out = np.einsum(spec, a.data, b.data)
 
     def backward(g):
-        if m._rows is None:
-            m._rows = ([], [])
-        m._rows[0].append(i)
-        m._rows[1].append(g)
+        if a.requires_grad:
+            _accumulate(a, np.einsum(f"{out_idx},{b_idx}->{a_idx}", g, b.data))
+        if b.requires_grad:
+            _accumulate(b, np.einsum(f"{a_idx},{out_idx}->{b_idx}", a.data, g))
 
-    return _result(out, (m,), backward)
-
-
-def pick(v: Tensor, i: int) -> Tensor:
-    """Select element i of a vector as a scalar."""
-    out = v.data[i]
-
-    def backward(g):
-        gv = np.zeros_like(v.data)
-        gv[i] = g
-        _accumulate(v, gv)
-
-    return _result(out, (v,), backward)
+    return _result(out, (a, b), backward)
 
 
 def tsum(a: Tensor) -> Tensor:
@@ -431,31 +434,54 @@ def tsum(a: Tensor) -> Tensor:
     return _result(np.asarray(a.data.sum(), dtype=a.data.dtype), (a,), backward)
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Stable softmax of a 1-D tensor (max-subtraction)."""
-    if a.data.ndim != 1 or a.data.shape[0] < 1:
-        raise AutodiffError(f"softmax expects a non-empty vector, got {a.data.shape}")
-    shifted = a.data - a.data.max()
-    e = np.exp(shifted)
-    out = e / e.sum()
+def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Stable softmax over the last axis (max-subtraction); positions where
+    ``mask`` is False get weight exactly 0 (each row needs one True)."""
+    if a.data.ndim < 1 or a.data.shape[-1] < 1:
+        raise AutodiffError(f"softmax expects a non-empty last axis, got {a.data.shape}")
+    x = a.data if mask is None else np.where(mask, a.data, -np.inf)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        _accumulate(a, out * (g - np.dot(g, out)))
+        _accumulate(a, out * (g - (g * out).sum(axis=-1, keepdims=True)))
 
     return _result(out, (a,), backward)
 
 
 def log_softmax(a: Tensor) -> Tensor:
-    if a.data.ndim != 1 or a.data.shape[0] < 1:
-        raise AutodiffError(f"log_softmax expects a non-empty vector, got {a.data.shape}")
-    shifted = a.data - a.data.max()
-    lse = np.log(np.exp(shifted).sum())
-    out = shifted - lse
+    """Log of the softmax over the last axis."""
+    if a.data.ndim < 1 or a.data.shape[-1] < 1:
+        raise AutodiffError(f"log_softmax expects a non-empty last axis, got {a.data.shape}")
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
     def backward(g):
-        _accumulate(a, g - np.exp(out) * g.sum())
+        _accumulate(a, g - np.exp(out) * g.sum(axis=-1, keepdims=True))
 
     return _result(out, (a,), backward)
+
+
+def cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Summed negative log-likelihood: sum over rows i of
+    -log softmax(logits[i])[targets[i]], for (n, v) logits."""
+    targets = np.asarray(targets, dtype=np.intp)
+    if logits.data.ndim != 2 or targets.shape != logits.data.shape[:1]:
+        raise AutodiffError(
+            f"cross_entropy expects (n, v) logits and n targets, got {logits.data.shape}, {targets.shape}"
+        )
+    rows = np.arange(targets.shape[0])
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    out = np.asarray((np.log(total[:, 0]) - shifted[rows, targets]).sum(), dtype=logits.data.dtype)
+
+    def backward(g):
+        grad = e / total
+        grad[rows, targets] -= 1.0
+        _accumulate(logits, grad * g)
+
+    return _result(out, (logits,), backward)
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:

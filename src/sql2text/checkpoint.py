@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,7 +68,35 @@ def save_checkpoint(path, ckpt: ModelCheckpoint) -> None:
             fh.write(np.ascontiguousarray(arr).tobytes())
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _read_array(path, entry, payload: bytes) -> tuple[str, np.ndarray]:
+    """One array-table entry as (name, array); CheckpointError on anything
+    malformed or inconsistent with the payload."""
+    try:
+        name, shape, start, nbytes = (entry[k] for k in ("name", "shape", "offset", "nbytes"))
+        dtype = np.dtype(entry["dtype"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed array entry {entry!r:.80}") from exc
+    if not (
+        isinstance(name, str)
+        and isinstance(shape, list)
+        and all(map(_is_count, [*shape, start, nbytes]))
+        and dtype.kind in "biuf"  # no object, string or structured arrays
+        and nbytes == math.prod(shape) * dtype.itemsize
+    ):
+        raise CheckpointError(f"{path}: malformed array entry {entry!r:.80}")
+    if start + nbytes > len(payload):
+        raise CheckpointError(f"{path}: truncated payload for {name!r}")
+    arr = np.frombuffer(payload[start : start + nbytes], dtype=dtype)
+    return name, arr.reshape(shape).copy()
+
+
 def load_checkpoint(path) -> ModelCheckpoint:
+    """Read a checkpoint file.  A missing file raises FileNotFoundError;
+    any malformed content raises CheckpointError."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
@@ -75,24 +104,35 @@ def load_checkpoint(path) -> ModelCheckpoint:
     if not blob.startswith(MAGIC):
         raise CheckpointError(f"{path}: not a recognized checkpoint (bad magic)")
     cursor = len(MAGIC)
-    try:
-        header_len = int(blob[cursor : cursor + 12])
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: corrupt header length") from exc
+    length_field = blob[cursor : cursor + 13]
+    if not (len(length_field) == 13 and length_field[:12].isdigit() and length_field[12:] == b"\n"):
+        raise CheckpointError(f"{path}: corrupt header length")
+    header_len = int(length_field[:12])
     cursor += 13  # 12 digits + newline
     try:
         header = json.loads(blob[cursor : cursor + header_len])
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
         raise CheckpointError(f"{path}: corrupt header JSON") from exc
     cursor += header_len
+    if not (
+        isinstance(header, dict)
+        and isinstance(header.get("config"), dict)
+        and isinstance(header.get("arrays"), list)
+        and all(
+            isinstance(vocab, list) and all(isinstance(token, str) for token in vocab)
+            for vocab in (header.get("src_vocab"), header.get("tgt_vocab"))
+        )
+    ):
+        raise CheckpointError(
+            f"{path}: header must be an object with config, src_vocab, tgt_vocab and arrays"
+        )
     payload = blob[cursor:]
     arrays: dict[str, np.ndarray] = {}
     for entry in header["arrays"]:
-        start, nbytes = entry["offset"], entry["nbytes"]
-        if start + nbytes > len(payload):
-            raise CheckpointError(f"{path}: truncated payload for {entry['name']!r}")
-        arr = np.frombuffer(payload[start : start + nbytes], dtype=entry["dtype"])
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
+        name, arr = _read_array(path, entry, payload)
+        if name in arrays:
+            raise CheckpointError(f"{path}: duplicate array {name!r}")
+        arrays[name] = arr
     return ModelCheckpoint(
         config=header["config"],
         src_tokens=header["src_vocab"],
@@ -109,14 +149,14 @@ def restore_model(ckpt: ModelCheckpoint) -> GraphToSequenceModel:
     fields are consumed here.
     """
     names = {f.name for f in dataclasses.fields(ModelConfig)}
-    config = ModelConfig(**{k: v for k, v in ckpt.config.items() if k in names})
-    model = GraphToSequenceModel(
-        Vocabulary(list(ckpt.src_tokens)),
-        Vocabulary(list(ckpt.tgt_tokens)),
-        config,
-    )
     try:
+        config = ModelConfig(**{k: v for k, v in ckpt.config.items() if k in names})
+        model = GraphToSequenceModel(
+            Vocabulary(list(ckpt.src_tokens)),
+            Vocabulary(list(ckpt.tgt_tokens)),
+            config,
+        )
         model.store.load_arrays(ckpt.arrays)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint is inconsistent with its config: {exc}") from exc
     return model

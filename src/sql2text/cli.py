@@ -229,7 +229,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         graph = model.prepare(sql)
 
         def loss_fn(store):
-            return model.example_loss(graph, pair.target, train=False)[0]
+            return model.loss([graph], [pair.target], train=False)[0]
 
         err = finite_difference_check(
             loss_fn,

@@ -101,25 +101,33 @@ def tokenize_text(text: str) -> tuple[str, ...]:
 def ingest_dataset(path) -> IngestResult:
     """Read a JSON Lines file of {"sql": ..., "text": ...} objects.
 
-    Queries outside the dialect are counted and skipped; malformed JSON
-    or missing fields raise with the offending line number.
+    Queries outside the dialect are counted and skipped; invalid UTF-8,
+    malformed JSON, and missing or non-string fields raise ValueError
+    with the offending line number.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset not found: {path}")
     result = IngestResult()
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    with path.open("rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: line {line_no} is not valid UTF-8") from exc
             if not line:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ValueError(f"{path}: malformed JSON on line {line_no}: {exc}") from exc
-            if not isinstance(record, dict) or "sql" not in record or "text" not in record:
+            if not (
+                isinstance(record, dict)
+                and isinstance(record.get("sql"), str)
+                and isinstance(record.get("text"), str)
+            ):
                 raise ValueError(
-                    f"{path}: line {line_no} must be an object with 'sql' and 'text' fields"
+                    f"{path}: line {line_no} must be an object with string 'sql' and 'text' fields"
                 )
             try:
                 parse(record["sql"])

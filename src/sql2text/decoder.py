@@ -1,7 +1,14 @@
 """Attention decoder: a single-layer gated recurrent cell initialized from
 the graph embedding, additive (or dot-product) attention over node
 embeddings, teacher-forced negative log-likelihood, and greedy plus beam
-decoding."""
+decoding.
+
+Every step works on rows, one per sequence being decoded: teacher
+forcing runs a whole minibatch, greedy decoding one row and beam search
+one row per live hypothesis, all through :func:`decoder_step`.  The
+sequences attend over node embeddings padded to the largest graph, with
+a mask over the padding.
+"""
 
 from __future__ import annotations
 
@@ -38,10 +45,22 @@ class DecoderConfig:
 
 @dataclass
 class DecoderState:
-    h: Tensor
-    c: Tensor
-    prev_token: int
-    context: Tensor
+    """Decoder state of n sequences, one row each."""
+
+    h: Tensor  # (n, hidden)
+    c: Tensor  # (n, hidden)
+    context: Tensor  # (n, node_dim) attention context
+    prev: np.ndarray  # (n,) token ids fed to the next step
+
+
+@dataclass
+class Memory:
+    """What the decoder attends over, row-aligned with the sequences: a
+    state of n rows attends over the first n rows."""
+
+    nodes: Tensor  # (rows, Nmax, node_dim) node embeddings, padded
+    mask: np.ndarray  # (rows, Nmax), True at real nodes
+    proj: Tensor | None  # (rows, Nmax, hidden) node-side additive projection
 
 
 def build_decoder_params(
@@ -62,133 +81,143 @@ def build_decoder_params(
     create_linear(store, "dec_out", h, tgt_vocab_size, rng)
 
 
-def precompute_attention(node_matrix: Tensor, store: ParameterStore, cfg: DecoderConfig) -> Tensor | None:
-    """Per-example cache of the node-side attention projection."""
-    if cfg.attention == "additive":
-        return linear(store, "attn_h", node_matrix)
-    return None
+def attention_memory(
+    nodes: Tensor, mask: np.ndarray, store: ParameterStore, cfg: DecoderConfig
+) -> Memory:
+    """Memory over padded node embeddings, with the node-side projection
+    of additive attention computed once for every step."""
+    proj = linear(store, "attn_h", nodes) if cfg.attention == "additive" else None
+    return Memory(nodes, mask, proj)
 
 
 def attention_context(
-    s: Tensor,
-    node_matrix: Tensor,
-    node_proj: Tensor | None,
-    store: ParameterStore,
-    cfg: DecoderConfig,
+    s: Tensor, memory: Memory, store: ParameterStore, cfg: DecoderConfig
 ) -> tuple[Tensor, Tensor]:
-    """(context vector, attention weights) for decoder state s."""
+    """(context, attention weights) for the (n, hidden) decoder states s:
+    (n, node_dim) and (n, Nmax), with weight 0 on padding."""
+    n = s.data.shape[0]
+    nodes = ad.slice_rows(memory.nodes, 0, n)
     if cfg.attention == "additive":
-        if node_proj is None:
-            node_proj = precompute_attention(node_matrix, store, cfg)
-        scores = ad.matmul(ad.tanh(node_proj + linear(store, "attn_s", s)), store["attn_v"])
+        query = ad.reshape(linear(store, "attn_s", s), (n, 1, -1))
+        energy = ad.tanh(ad.slice_rows(memory.proj, 0, n) + query)
+        scores = ad.einsum("bnh,h->bn", energy, store["attn_v"])
     else:
-        scores = ad.matmul(node_matrix, linear(store, "attn_dot", s))
-    weights = ad.softmax(scores)
-    context = ad.matmul(weights, node_matrix)
-    return context, weights
+        scores = ad.einsum("bnd,bd->bn", nodes, linear(store, "attn_dot", s))
+    weights = ad.softmax(scores, memory.mask[:n])
+    return ad.einsum("bn,bnd->bd", weights, nodes), weights
 
 
 def init_state(
-    graph_emb: Tensor,
-    node_matrix: Tensor,
-    node_proj: Tensor | None,
-    store: ParameterStore,
-    cfg: DecoderConfig,
+    graph_emb: Tensor, memory: Memory, store: ParameterStore, cfg: DecoderConfig
 ) -> DecoderState:
-    """Initial decoder state projected from the graph embedding."""
-    if graph_emb.data.shape != (cfg.node_dim,):
+    """Initial state projected from the (n, node_dim) graph embeddings."""
+    if graph_emb.data.ndim != 2 or graph_emb.data.shape[1] != cfg.node_dim:
         raise ValueError(
             f"graph embedding shape {graph_emb.data.shape} does not match node_dim {cfg.node_dim}"
         )
     h0 = ad.tanh(linear(store, "dec_init_h", graph_emb))
     c0 = ad.tanh(linear(store, "dec_init_c", graph_emb))
-    context, _ = attention_context(h0, node_matrix, node_proj, store, cfg)
-    return DecoderState(h0, c0, BOS, context)
+    context, _ = attention_context(h0, memory, store, cfg)
+    return DecoderState(h0, c0, context, np.full(graph_emb.data.shape[0], BOS))
 
 
-def _step_logits(
-    state: DecoderState,
-    node_matrix: Tensor,
-    node_proj: Tensor | None,
-    store: ParameterStore,
-    cfg: DecoderConfig,
-    train: bool,
-    rng: np.random.Generator | None,
-) -> tuple[Tensor, DecoderState]:
-    x = ad.concat([ad.row(store["tgt_embed"], state.prev_token), state.context])
-    h, c = lstm_step(store, "dec_lstm", x, state.h, state.c)
-    context, _ = attention_context(h, node_matrix, node_proj, store, cfg)
-    readout = ad.tanh(linear(store, "dec_readout", ad.concat([h, context])))
-    if train and cfg.dropout > 0.0:
-        if rng is None:
-            raise ValueError("training-mode decoding needs an rng for dropout")
-        readout = ad.dropout(readout, cfg.dropout, rng)
-    logits = linear(store, "dec_out", readout)
-    return logits, DecoderState(h, c, state.prev_token, context)
+def decoder_step(
+    state: DecoderState, memory: Memory, store: ParameterStore, cfg: DecoderConfig
+) -> DecoderState:
+    """Feed ``state.prev`` to the first len(prev) rows, which go on; the
+    others are dropped.  The returned state keeps ``prev`` for the caller
+    to replace."""
+    n = len(state.prev)
+    x = ad.concat([ad.gather(store["tgt_embed"], state.prev), ad.slice_rows(state.context, 0, n)])
+    h, c = lstm_step(store, "dec_lstm", x, ad.slice_rows(state.h, 0, n), ad.slice_rows(state.c, 0, n))
+    context, _ = attention_context(h, memory, store, cfg)
+    return DecoderState(h, c, context, state.prev)
 
 
-def decode_step(
-    state: DecoderState,
-    node_matrix: Tensor,
-    store: ParameterStore,
-    cfg: DecoderConfig,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-    node_proj: Tensor | None = None,
-) -> tuple[Tensor, DecoderState]:
-    """Next-token distribution (sums to 1) and the advanced state."""
-    logits, new_state = _step_logits(state, node_matrix, node_proj, store, cfg, train, rng)
-    return ad.softmax(logits), new_state
+def _readout(h: Tensor, context: Tensor, store: ParameterStore) -> Tensor:
+    return ad.tanh(linear(store, "dec_readout", ad.concat([h, context])))
+
+
+def next_token_logits(state: DecoderState, store: ParameterStore) -> Tensor:
+    """(n, vocab) logits of the token each row emits after its last step."""
+    return linear(store, "dec_out", _readout(state.h, state.context, store))
 
 
 def sequence_loss(
-    node_matrix: Tensor,
+    nodes: Tensor,
+    mask: np.ndarray,
     graph_emb: Tensor,
-    target_ids: list[int],
+    targets: list[list[int]],
     store: ParameterStore,
     cfg: DecoderConfig,
     train: bool = True,
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, int]:
-    """Teacher-forced negative log-likelihood, summed over target tokens.
+    """Teacher-forced negative log-likelihood of a batch, summed over all
+    target tokens; ``targets[b]`` are example b's token ids, non-empty and
+    ending with EOS.  Returns (loss sum, token count); batch averaging is
+    the caller's concern.
 
-    The target must be non-empty and end with EOS.  Returns (loss sum,
-    token count); batch averaging is the caller's concern.
+    Rows are sorted longest target first, so each step runs on the prefix
+    of rows still running.  Dropout masks are drawn per example in batch
+    order, a (length, hidden) draw each: ``rng`` is consumed exactly as
+    by decoding the examples one by one.
     """
-    if not target_ids:
-        raise ValueError("empty target sequence")
-    if target_ids[-1] != EOS:
-        raise ValueError("target sequence must end with EOS")
-    node_proj = precompute_attention(node_matrix, store, cfg)
-    state = init_state(graph_emb, node_matrix, node_proj, store, cfg)
-    total: Tensor | None = None
-    for target in target_ids:
-        logits, state = _step_logits(state, node_matrix, node_proj, store, cfg, train, rng)
-        nll = -ad.pick(ad.log_softmax(logits), target)
-        total = nll if total is None else total + nll
-        state.prev_token = target
-    return total, len(target_ids)
+    for target in targets:
+        if not target:
+            raise ValueError("empty target sequence")
+        if target[-1] != EOS:
+            raise ValueError("target sequence must end with EOS")
+    dropout = train and cfg.dropout > 0.0
+    if dropout and rng is None:
+        raise ValueError("training-mode decoding needs an rng for dropout")
+    order = sorted(range(len(targets)), key=lambda b: -len(targets[b]))
+    lengths = np.array([len(targets[b]) for b in order])
+    inputs = np.full((len(order), lengths[0]), BOS)
+    for row, b in enumerate(order):
+        inputs[row, 1 : lengths[row]] = targets[b][:-1]
+
+    memory = attention_memory(ad.gather(nodes, order), mask[order], store, cfg)
+    state = init_state(ad.gather(graph_emb, order), memory, store, cfg)
+    hs, contexts = [], []
+    for step in range(lengths[0]):
+        state.prev = inputs[: np.count_nonzero(lengths > step), step]
+        state = decoder_step(state, memory, store, cfg)
+        hs.append(state.h)
+        contexts.append(state.context)
+
+    # Step t's rows start at starts[t] in the step-major stack; regather
+    # them example by example, in batch order, for the dropout draw.
+    starts = np.cumsum([0] + [h.data.shape[0] for h in hs])
+    position = np.argsort(order)
+    rows = np.concatenate([starts[: len(t)] + position[b] for b, t in enumerate(targets)])
+    readout = ad.gather(_readout(ad.concat(hs, axis=0), ad.concat(contexts, axis=0), store), rows)
+    if dropout:
+        readout = ad.dropout(readout, cfg.dropout, rng)
+    flat = np.concatenate(targets)
+    return ad.cross_entropy(linear(store, "dec_out", readout), flat), len(flat)
 
 
 def greedy_decode(
-    node_matrix: Tensor,
+    nodes: Tensor,
+    mask: np.ndarray,
     graph_emb: Tensor,
     store: ParameterStore,
     cfg: DecoderConfig,
 ) -> list[int]:
-    """Argmax decoding until EOS or the length cap; returns token ids
-    without BOS/EOS."""
+    """Argmax decoding of one example (a batch of 1) until EOS or the
+    length cap; returns token ids without BOS/EOS."""
     with ad.no_grad():
-        node_proj = precompute_attention(node_matrix, store, cfg)
-        state = init_state(graph_emb, node_matrix, node_proj, store, cfg)
+        memory = attention_memory(nodes, mask, store, cfg)
+        state = init_state(graph_emb, memory, store, cfg)
         out: list[int] = []
         for _ in range(cfg.max_decode_len):
-            logits, state = _step_logits(state, node_matrix, node_proj, store, cfg, False, None)
-            token = int(np.argmax(logits.data))
+            state = decoder_step(state, memory, store, cfg)
+            token = int(np.argmax(next_token_logits(state, store).data[0]))
             if token == EOS:
                 break
             out.append(token)
-            state.prev_token = token
+            state.prev = np.array([token])
     return out
 
 
@@ -196,7 +225,7 @@ def greedy_decode(
 class Hypothesis:
     tokens: tuple[int, ...]
     log_prob: float
-    state: DecoderState | None
+    parent: int  # row of the decoder state the hypothesis continues
     terminated: bool
 
     def score(self, alpha: float) -> float:
@@ -206,14 +235,17 @@ class Hypothesis:
 
 
 def beam_search(
-    node_matrix: Tensor,
+    nodes: Tensor,
+    mask: np.ndarray,
     graph_emb: Tensor,
     store: ParameterStore,
     cfg: DecoderConfig,
     beam_size: int | None = None,
 ) -> list[int]:
-    """Beam decoding; returns token ids without BOS/EOS.
+    """Beam decoding of one example (a batch of 1); returns token ids
+    without BOS/EOS.
 
+    Each step runs the live hypotheses as the rows of one decoder state.
     Completed (EOS-terminated) hypotheses are collected as they appear;
     the best-scoring hypothesis wins, with hypotheses still live at the
     length cap competing only when no completed one scores higher.
@@ -223,31 +255,25 @@ def beam_search(
         raise ValueError("beam_size must be >= 1")
     alpha = cfg.length_norm_alpha
     with ad.no_grad():
-        node_proj = precompute_attention(node_matrix, store, cfg)
-        state = init_state(graph_emb, node_matrix, node_proj, store, cfg)
-        live = [Hypothesis((), 0.0, state, False)]
+        copies = np.zeros(width, dtype=np.intp)
+        memory = attention_memory(ad.gather(nodes, copies), mask[copies], store, cfg)
+        state = init_state(graph_emb, memory, store, cfg)
+        live = [Hypothesis((), 0.0, 0, False)]
         done: list[Hypothesis] = []
         for _ in range(cfg.max_decode_len):
+            state = decoder_step(state, memory, store, cfg)
+            log_probs = ad.log_softmax(next_token_logits(state, store)).data
             candidates: list[Hypothesis] = []
-            for hyp in live:
-                logits, new_state = _step_logits(
-                    hyp.state, node_matrix, node_proj, store, cfg, False, None
-                )
-                log_probs = ad.log_softmax(logits).data
+            for row, hyp in enumerate(live):
                 # Stable sort keeps ties at the lowest token id, matching argmax.
-                top = np.argsort(-log_probs, kind="stable")[:width]
+                top = np.argsort(-log_probs[row], kind="stable")[:width]
                 for token in top:
                     token = int(token)
-                    lp = hyp.log_prob + float(log_probs[token])
+                    lp = hyp.log_prob + float(log_probs[row, token])
                     if token == EOS:
-                        candidates.append(Hypothesis(hyp.tokens, lp, None, True))
+                        candidates.append(Hypothesis(hyp.tokens, lp, row, True))
                     else:
-                        step_state = DecoderState(
-                            new_state.h, new_state.c, token, new_state.context
-                        )
-                        candidates.append(
-                            Hypothesis(hyp.tokens + (token,), lp, step_state, False)
-                        )
+                        candidates.append(Hypothesis(hyp.tokens + (token,), lp, row, False))
             done.extend(h for h in candidates if h.terminated)
             alive = [h for h in candidates if not h.terminated]
             alive.sort(key=lambda h: -h.score(alpha))
@@ -259,6 +285,13 @@ def beam_search(
                 # best finished hypothesis beats every live one, stop.
                 if max(h.score(alpha) for h in done) >= live[0].score(alpha):
                     break
+            parents = [h.parent for h in live]
+            state = DecoderState(
+                ad.gather(state.h, parents),
+                ad.gather(state.c, parents),
+                ad.gather(state.context, parents),
+                np.array([h.tokens[-1] for h in live]),
+            )
         pool = done + live
         best = max(pool, key=lambda h: h.score(alpha))
     return list(best.tokens)

@@ -1,4 +1,4 @@
-"""Bidirectional K-hop graph encoder.
+"""Bidirectional K-hop graph encoder, run on a whole minibatch at once.
 
 Each node starts from a recurrent reading of its text tokens.  For K
 rounds, a node's forward representation is refreshed from the nodes it
@@ -11,18 +11,25 @@ with a ReLU.  The final node embedding concatenates both directions.
 Two graph-level readouts are provided: max-pooling over projected node
 embeddings, or the embedding of an added super node that every other
 node points at.
+
+A batch of graphs is encoded as their disjoint union, so each of these
+steps is a few whole-matrix operations over all nodes of the batch: the
+text recurrence runs once over the batch's distinct node texts, each hop
+aggregates through a padded neighbor-index array, and the readouts are
+segment maxima (or row picks) per graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Vocabulary
-from .graphs import QueryGraph, add_super_node
+from .graphs import QueryGraph, add_super_node, disjoint_union
 from .nn import create_linear, create_lstm, linear, lstm_step
 from .optim import ParameterStore
 
@@ -44,26 +51,6 @@ class EncoderConfig:
             raise ValueError(f"unknown ge_method {self.ge_method!r}")
 
 
-@dataclass
-class NodeEmbeddings:
-    """Per-node states across hops.
-
-    ``h_fwd[k]`` / ``h_bwd[k]`` hold each node's representation after hop
-    k (hop 0 is the initial feature vector for both directions); ``final``
-    concatenates the last-hop directions per node and ``matrix`` stacks
-    them into |V| x 2d.
-    """
-
-    a: list[Tensor]
-    h_fwd: list[list[Tensor]]
-    h_bwd: list[list[Tensor]]
-    final: list[Tensor] = field(default_factory=list)
-
-    @property
-    def matrix(self) -> Tensor:
-        return ad.stack(self.final)
-
-
 def build_encoder_params(
     store: ParameterStore, src_vocab_size: int, cfg: EncoderConfig, rng: np.random.Generator
 ) -> None:
@@ -82,40 +69,49 @@ def build_encoder_params(
         create_linear(store, "ge_pool", 2 * d, 2 * d, rng)
 
 
+def padded_index(groups: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Row-number lists as a (len(groups), longest) index array padded with
+    0, plus the mask of its real entries.  There is always at least one
+    column, so that groups which are all empty still give a valid array."""
+    sizes = np.array([len(group) for group in groups], dtype=np.intp)
+    valid = np.arange(max(1, sizes.max(initial=0))) < sizes[:, None]
+    index = np.zeros(valid.shape, dtype=np.intp)
+    index[valid] = [i for group in groups for i in group]
+    return index, valid
+
+
 def init_node_features(
     graph: QueryGraph, vocab: Vocabulary, store: ParameterStore, cfg: EncoderConfig
-) -> list[Tensor]:
-    """Initial feature vector per node: final hidden state of the shared
-    recurrent encoder run over the node's token embeddings."""
-    d = cfg.hidden_dim
+) -> Tensor:
+    """(N, d) initial features: per node, the final hidden state of the
+    shared recurrent encoder run over the node's token embeddings.  It runs
+    once over the distinct texts as rows, longest first, so each step runs
+    on the prefix of rows still being read and no padding is computed."""
+    texts = sorted(dict.fromkeys(node.text for node in graph.nodes), key=len, reverse=True)
+    lengths = np.array([len(text) for text in texts])
     embed = store["src_embed"]
-    cache: dict[tuple[str, ...], Tensor] = {}
-    feats: list[Tensor] = []
-    for node in graph.nodes:
-        if not node.text:
-            raise ValueError(f"node {node.id} has an empty text attribute")
-        if node.text not in cache:
-            h = ad.zeros((d,))
-            c = ad.zeros((d,))
-            for token in node.text:
-                x = ad.row(embed, vocab.id(token))
-                h, c = lstm_step(store, "node_lstm", x, h, c)
-            cache[node.text] = h
-        feats.append(cache[node.text])
-    return feats
+    h = c = ad.zeros((len(texts), cfg.hidden_dim))
+    finished: list[Tensor] = []
+    for step in range(lengths[0]):
+        n = int(np.count_nonzero(lengths > step))
+        x = ad.gather(embed, [vocab.id(text[step]) for text in texts[:n]])
+        h, c = lstm_step(store, "node_lstm", x, ad.slice_rows(h, 0, n), ad.slice_rows(c, 0, n))
+        still = int(np.count_nonzero(lengths > step + 1))
+        if still < n:
+            finished.append(ad.slice_rows(h, still, n))
+    # Rows finish shortest first; reversed, the blocks are in row order.
+    feats = ad.concat(finished[::-1], axis=0)
+    row = {text: r for r, text in enumerate(texts)}
+    return ad.gather(feats, [row[node.text] for node in graph.nodes])
 
 
 def aggregate_direction(
-    neighbors: list[Tensor], store: ParameterStore, hop: int, direction: str, dim: int
+    h: Tensor, neighbors: tuple, store: ParameterStore, hop: int, direction: str
 ) -> Tensor:
-    """Neighborhood vector: coordinatewise max over ReLU(FC(h_u)).
-
-    An empty neighborhood yields the zero vector.
-    """
-    if not neighbors:
-        return ad.zeros((dim,))
-    transformed = ad.relu(linear(store, f"hop{hop}.{direction}.agg", ad.stack(neighbors)))
-    return ad.max_rows(transformed)
+    """Per node, the coordinatewise max over ReLU(FC(h_u)) of its neighbors u
+    (:func:`padded_index` arrays); zero for an empty neighborhood."""
+    transformed = ad.relu(linear(store, f"hop{hop}.{direction}.agg", h))
+    return ad.segment_max(transformed, *neighbors)
 
 
 def _out_prefix(cfg: EncoderConfig, hop: int, direction: str) -> str:
@@ -125,64 +121,47 @@ def _out_prefix(cfg: EncoderConfig, hop: int, direction: str) -> str:
 
 
 def propagate(
-    graph: QueryGraph, feats: list[Tensor], store: ParameterStore, cfg: EncoderConfig
-) -> NodeEmbeddings:
-    """Run K rounds of bidirectional neighbor aggregation."""
-    d = cfg.hidden_dim
-    fwd_adj, bwd_adj = graph.adjacency()
-    embs = NodeEmbeddings(a=feats, h_fwd=[list(feats)], h_bwd=[list(feats)])
-    for k in range(1, cfg.hop_size + 1):
-        prev_fwd = embs.h_fwd[-1]
-        prev_bwd = embs.h_bwd[-1]
-        new_fwd: list[Tensor] = []
-        new_bwd: list[Tensor] = []
-        for v in range(len(graph.nodes)):
-            nbh = aggregate_direction(
-                [prev_fwd[u] for u in fwd_adj[v]], store, k, "fwd", d
-            )
-            new_fwd.append(
-                ad.relu(
-                    linear(store, _out_prefix(cfg, k, "fwd"), ad.concat([prev_fwd[v], nbh]))
-                )
-            )
-            nbh = aggregate_direction(
-                [prev_bwd[u] for u in bwd_adj[v]], store, k, "bwd", d
-            )
-            new_bwd.append(
-                ad.relu(
-                    linear(store, _out_prefix(cfg, k, "bwd"), ad.concat([prev_bwd[v], nbh]))
-                )
-            )
-        embs.h_fwd.append(new_fwd)
-        embs.h_bwd.append(new_bwd)
-    embs.final = [
-        ad.concat([f, b]) for f, b in zip(embs.h_fwd[-1], embs.h_bwd[-1])
-    ]
-    return embs
+    graph: QueryGraph, feats: Tensor, store: ParameterStore, cfg: EncoderConfig
+) -> Tensor:
+    """Run K rounds of bidirectional neighbor aggregation from the (N, d)
+    initial features; returns the (N, 2d) final node embeddings, forward
+    half first.  With K = 0 both halves are the initial features."""
+    halves = []
+    for direction, adjacency in zip(("fwd", "bwd"), graph.adjacency()):
+        neighbors = padded_index(adjacency)
+        h = feats
+        for k in range(1, cfg.hop_size + 1):
+            nbh = aggregate_direction(h, neighbors, store, k, direction)
+            h = ad.relu(linear(store, _out_prefix(cfg, k, direction), ad.concat([h, nbh])))
+        halves.append(h)
+    return ad.concat(halves)
 
 
-def graph_embedding_pooling(node_matrix: Tensor, store: ParameterStore) -> Tensor:
-    """Coordinatewise max over a learned projection of all node embeddings."""
-    if node_matrix.data.shape[0] < 1:
-        raise ValueError("cannot pool an empty graph")
-    return ad.max_rows(linear(store, "ge_pool", node_matrix))
+def graph_embedding_pooling(node_matrix: Tensor, segments: tuple, store: ParameterStore) -> Tensor:
+    """Per graph, the coordinatewise max over a learned projection of its
+    rows of ``node_matrix`` (``segments``, :func:`padded_index` arrays)."""
+    return ad.segment_max(linear(store, "ge_pool", node_matrix), *segments)
 
 
 def encode(
-    graph: QueryGraph, vocab: Vocabulary, store: ParameterStore, cfg: EncoderConfig
-) -> tuple[NodeEmbeddings, Tensor]:
-    """Node embeddings plus a 2d graph embedding via the configured readout.
-
-    With the supernode readout the graph is augmented first, so the
-    returned embeddings cover the augmented node set (the decoder attends
-    over all of them).
-    """
+    graphs: list[QueryGraph], vocab: Vocabulary, store: ParameterStore, cfg: EncoderConfig
+) -> tuple[Tensor, np.ndarray, Tensor]:
+    """Encode a batch of graphs as one disjoint union: node embeddings
+    padded to (B, Nmax, 2d), the (B, Nmax) mask of real nodes, and (B, 2d)
+    graph embeddings.  With the supernode readout each graph is augmented
+    first, so the node embeddings cover the super node too (the decoder
+    attends over all of them)."""
+    if not graphs or any(not graph.nodes for graph in graphs):
+        raise ValueError("cannot encode an empty batch or an empty graph")
     if cfg.ge_method == "supernode":
-        graph = add_super_node(graph)
-    feats = init_node_features(graph, vocab, store, cfg)
-    embs = propagate(graph, feats, store, cfg)
+        graphs = [add_super_node(graph) for graph in graphs]
+    union = disjoint_union(graphs)
+    ends = np.cumsum([len(graph.nodes) for graph in graphs])
+    segments = padded_index([range(end - len(g.nodes), end) for g, end in zip(graphs, ends)])
+    node_matrix = propagate(union, init_node_features(union, vocab, store, cfg), store, cfg)
     if cfg.ge_method == "supernode":
-        graph_emb = embs.final[-1]  # the super node is appended last
+        graph_emb = ad.gather(node_matrix, ends - 1)  # each super node is appended last
     else:
-        graph_emb = graph_embedding_pooling(embs.matrix, store)
-    return embs, graph_emb
+        graph_emb = graph_embedding_pooling(node_matrix, segments, store)
+    index, mask = segments
+    return ad.gather(node_matrix, index), mask, graph_emb

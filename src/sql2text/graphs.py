@@ -154,6 +154,18 @@ def add_super_node(graph: QueryGraph) -> QueryGraph:
     return QueryGraph(nodes, edges, undirected_view=graph.undirected_view)
 
 
+def disjoint_union(graphs: list[QueryGraph]) -> QueryGraph:
+    """One graph holding every input graph, in order, with no edges
+    between them: graph i's node j becomes node offset_i + j."""
+    nodes: list[GraphNode] = []
+    edges: list[tuple[int, int]] = []
+    for graph in graphs:
+        offset = len(nodes)
+        nodes.extend(GraphNode(offset + n.id, n.kind, n.text) for n in graph.nodes)
+        edges.extend((offset + src, offset + dst) for src, dst in graph.edges)
+    return QueryGraph(nodes, edges)
+
+
 def linearize(query: SqlQuery) -> list[str]:
     """Flat token sequence for sequence-encoder baselines.
 

@@ -89,23 +89,24 @@ class GraphToSequenceModel:
             graph = to_undirected(graph)
         return graph
 
-    def encode_graph(self, graph: QueryGraph) -> tuple[Tensor, Tensor]:
-        embs, graph_emb = encode(
-            graph, self.src_vocab, self.store, self.config.encoder_config()
-        )
-        return embs.matrix, graph_emb
+    def encode_graphs(self, graphs: list[QueryGraph]) -> tuple[Tensor, np.ndarray, Tensor]:
+        """Padded node embeddings, node mask and graph embeddings of a batch."""
+        return encode(graphs, self.src_vocab, self.store, self.config.encoder_config())
 
-    def example_loss(
+    def loss(
         self,
-        graph: QueryGraph,
-        target_tokens: tuple[str, ...],
+        graphs: list[QueryGraph],
+        targets: list[tuple[str, ...]],
         train: bool = True,
         rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, int]:
-        node_matrix, graph_emb = self.encode_graph(graph)
-        target_ids = self.tgt_vocab.ids(target_tokens) + [EOS]
+        """Summed teacher-forced NLL of a batch and its token count, from
+        one batched forward pass."""
+        nodes, mask, graph_emb = self.encode_graphs(graphs)
+        target_ids = [self.tgt_vocab.ids(tokens) + [EOS] for tokens in targets]
         return sequence_loss(
-            node_matrix,
+            nodes,
+            mask,
             graph_emb,
             target_ids,
             self.store,
@@ -122,12 +123,12 @@ class GraphToSequenceModel:
     ) -> list[str]:
         graph = query if isinstance(query, QueryGraph) else self.prepare(query)
         with no_grad():
-            node_matrix, graph_emb = self.encode_graph(graph)
+            encoded = self.encode_graphs([graph])
         cfg = self.config.decoder_config()
         if greedy:
-            ids = greedy_decode(node_matrix, graph_emb, self.store, cfg)
+            ids = greedy_decode(*encoded, self.store, cfg)
         else:
-            ids = beam_search(node_matrix, graph_emb, self.store, cfg, beam_size)
+            ids = beam_search(*encoded, self.store, cfg, beam_size)
         return self.tgt_vocab.words(ids)
 
     def config_dict(self) -> dict:

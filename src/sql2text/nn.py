@@ -27,7 +27,8 @@ def create_lstm(store: ParameterStore, prefix: str, input_dim: int, hidden_dim: 
 def lstm_step(
     store: ParameterStore, prefix: str, x: Tensor, h: Tensor, c: Tensor
 ) -> tuple[Tensor, Tensor]:
-    """One step of a standard LSTM cell; returns (h', c')."""
+    """One step of a standard LSTM cell on a batch of rows: x is (n, in),
+    h and c are (n, hidden); returns (h', c')."""
     z = concat([x, h])
     i = sigmoid(linear(store, f"{prefix}.i", z))
     f = sigmoid(linear(store, f"{prefix}.f", z))

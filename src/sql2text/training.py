@@ -142,14 +142,12 @@ def train(
         norms: list[float] = []
         for start in range(0, len(order), config.batch_size):
             batch = [train_pairs[int(i)] for i in order[start : start + config.batch_size]]
-            total = None
-            tokens = 0
-            for pair in batch:
-                loss, count = model.example_loss(
-                    _graph(model, graphs, pair.sql), pair.target, train=True, rng=dropout_rng
-                )
-                total = loss if total is None else total + loss
-                tokens += count
+            total, tokens = model.loss(
+                [_graph(model, graphs, pair.sql) for pair in batch],
+                [pair.target for pair in batch],
+                train=True,
+                rng=dropout_rng,
+            )
             batch_loss = total * (1.0 / tokens)
             value = batch_loss.item()
             if not math.isfinite(value):

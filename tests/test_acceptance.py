@@ -10,7 +10,13 @@ from sql2text.autodiff import Tensor, default_dtype
 from sql2text.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from sql2text.cli import main
 from sql2text.data import SPECIAL_TOKENS, ExamplePair, Vocabulary, build_vocab, tokenize_text
-from sql2text.decoder import attention_context, decode_step, init_state, precompute_attention
+from sql2text.decoder import (
+    attention_context,
+    attention_memory,
+    decoder_step,
+    init_state,
+    next_token_logits,
+)
 from sql2text.encoder import EncoderConfig, build_encoder_params, init_node_features, propagate
 from sql2text.evaluation import bleu4_corpus, evaluate_model
 from sql2text.graphs import GraphNode, QueryGraph, build_graph, template_interpret, to_undirected
@@ -79,7 +85,7 @@ def _gradcheck_fixture(precision: str):
     assert len(graph.nodes) == 3
 
     def loss_fn(store):
-        return model.example_loss(graph, target, train=False)[0]
+        return model.loss([graph], [target], train=False)[0]
 
     return model, loss_fn
 
@@ -118,10 +124,10 @@ def test_criterion_04_propagation_hand_oracle():
         nodes=[GraphNode(0, "column", ("u",)), GraphNode(1, "column", ("v",))],
         edges=[(0, 1)],
     )
-    feats = [Tensor([1.0, 2.0]), Tensor([3.0, -1.0])]
-    embs = propagate(graph, feats, store, cfg)
-    assert np.allclose(embs.final[0].data, [4.0, 2.0, 1.0, 2.0], atol=1e-6)
-    assert np.allclose(embs.final[1].data, [3.0, 0.0, 4.0, 1.0], atol=1e-6)
+    feats = Tensor([[1.0, 2.0], [3.0, -1.0]])
+    final = propagate(graph, feats, store, cfg)
+    assert np.allclose(final.data[0], [4.0, 2.0, 1.0, 2.0], atol=1e-6)
+    assert np.allclose(final.data[1], [3.0, 0.0, 4.0, 1.0], atol=1e-6)
 
     # Three-node fixture vs an independent plain-numpy transcription.
     with default_dtype(np.float64):
@@ -134,10 +140,10 @@ def test_criterion_04_propagation_hand_oracle():
         graph3 = QueryGraph(
             nodes=[GraphNode(i, "column", (f"n{i}",)) for i in range(3)], edges=edges
         )
-        embs3 = propagate(graph3, [Tensor(r) for r in raw], store3, cfg3)
+        final3 = propagate(graph3, Tensor(raw), store3, cfg3)
         expected = _oracle_propagate(raw, edges, store3, cfg3)
         for v in range(3):
-            assert np.allclose(embs3.final[v].data, expected[v], atol=1e-6)
+            assert np.allclose(final3.data[v], expected[v], atol=1e-6)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     announce("4", f"2-node frozen values and 3-node oracle agree within 1e-6 in {elapsed:.3f}s")
@@ -180,14 +186,14 @@ def test_criterion_05_permutation_invariance():
     randomize_parameters(store, np.random.default_rng(7))
     graph = build_graph(parse(GOLDEN_QUERY))
     feats_raw = np.random.default_rng(8).normal(size=(len(graph.nodes), 4))
-    base = propagate(graph, [Tensor(r) for r in feats_raw], store, cfg)
+    base = propagate(graph, Tensor(feats_raw), store, cfg)
     rng = np.random.default_rng(9)
     for _ in range(100):
         edges = list(graph.edges)
         rng.shuffle(edges)
-        out = propagate(QueryGraph(list(graph.nodes), edges), [Tensor(r) for r in feats_raw], store, cfg)
+        out = propagate(QueryGraph(list(graph.nodes), edges), Tensor(feats_raw), store, cfg)
         for v in range(len(graph.nodes)):
-            assert np.array_equal(base.final[v].data, out.final[v].data)
+            assert np.array_equal(base.data[v], out.data[v])
     announce("5", "100 adjacency permutations, all node embeddings bitwise identical")
 
 
@@ -209,7 +215,7 @@ def test_criterion_06_hop_locality():
             edges=[(0, 1), (1, 2), (2, 3)],
         )
         feats = init_node_features(graph, vocab, store, cfg)
-        return propagate(graph, feats, store, cfg).final[0].data
+        return propagate(graph, feats, store, cfg).data[0]
 
     assert np.array_equal(far_endpoint("original"), far_endpoint("mutated"))
     announce("6", "K=2 path graph: distance-3 text mutation leaves endpoint bitwise unchanged")
@@ -229,16 +235,16 @@ def test_criterion_07_decoder_equivalences():
 
     # Attention weights along a decode rollout sum to 1 at every step.
     randomize_parameters(model.store, np.random.default_rng(123))
-    node_matrix, graph_emb = model.encode_graph(graph)
+    nodes, mask, graph_emb = model.encode_graphs([graph])
     dec_cfg = config.decoder_config()
-    proj = precompute_attention(node_matrix, model.store, dec_cfg)
-    state = init_state(graph_emb, node_matrix, proj, model.store, dec_cfg)
+    memory = attention_memory(nodes, mask, model.store, dec_cfg)
+    state = init_state(graph_emb, memory, model.store, dec_cfg)
     for _ in range(10):
-        _, weights = attention_context(state.h, node_matrix, proj, model.store, dec_cfg)
+        _, weights = attention_context(state.h, memory, model.store, dec_cfg)
         assert (weights.data >= 0).all()
         assert abs(float(weights.data.sum()) - 1.0) < 1e-6
-        dist, state = decode_step(state, node_matrix, model.store, dec_cfg, node_proj=proj)
-        state.prev_token = int(np.argmax(dist.data))
+        state = decoder_step(state, memory, model.store, dec_cfg)
+        state.prev = np.argmax(next_token_logits(state, model.store).data, axis=1)
     announce("7", "beam-1 equals greedy on 50 probes; attention weights sum to 1 at every step")
 
 
@@ -321,8 +327,8 @@ def test_criterion_10_ablation_levers():
     )
     randomize_parameters(directed_model.store, np.random.default_rng(21))
     graph = build_graph(parse(GOLDEN_QUERY))
-    directed_nodes, directed_ge = directed_model.encode_graph(graph)
-    undirected_nodes, _ = directed_model.encode_graph(to_undirected(graph))
+    directed_nodes, _, directed_ge = directed_model.encode_graphs([graph])
+    undirected_nodes, _, _ = directed_model.encode_graphs([to_undirected(graph)])
     assert not np.array_equal(directed_nodes.data, undirected_nodes.data)
 
     supernode_model = GraphToSequenceModel(
@@ -331,7 +337,7 @@ def test_criterion_10_ablation_levers():
         seed=0,
     )
     randomize_parameters(supernode_model.store, np.random.default_rng(21))
-    _, supernode_ge = supernode_model.encode_graph(graph)
+    *_, supernode_ge = supernode_model.encode_graphs([graph])
     assert not np.allclose(directed_ge.data, supernode_ge.data)
     announce("10", "undirected flag changes node embeddings; pooling vs supernode embeddings differ")
 

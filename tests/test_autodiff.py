@@ -54,31 +54,47 @@ class TestAffine:
 
 
 class TestMaxReduce:
+    # One segment over all rows of a matrix: the coordinatewise maximum.
+    @staticmethod
+    def max_over_rows(m):
+        n = m.data.shape[0]
+        return ad.segment_max(m, np.arange(n)[None, :], np.ones((1, n), dtype=bool))
+
     def test_coordinatewise_max(self):
-        out = ad.elementwise_max_reduce([param([1.0, 5.0]), param([3.0, 2.0])])
-        assert np.allclose(out.data, [3.0, 5.0])
+        out = self.max_over_rows(param([[1.0, 5.0], [3.0, 2.0]]))
+        assert np.allclose(out.data, [[3.0, 5.0]])
 
     def test_single_row_identity(self):
-        out = ad.elementwise_max_reduce([param([7.0, -1.0])])
-        assert np.allclose(out.data, [7.0, -1.0])
+        out = self.max_over_rows(param([[7.0, -1.0]]))
+        assert np.allclose(out.data, [[7.0, -1.0]])
 
     def test_empty_rejected(self):
         with pytest.raises(AutodiffError):
-            ad.elementwise_max_reduce([])
+            ad.segment_max(param([[1.0]]), np.zeros((1, 0), dtype=np.intp), np.zeros((1, 0), dtype=bool))
 
     @given(st.permutations(range(5)))
     def test_permutation_invariant(self, perm):
         rng = np.random.default_rng(0)
         rows = rng.normal(size=(5, 4))
-        base = ad.elementwise_max_reduce([Tensor(r) for r in rows])
-        shuffled = ad.elementwise_max_reduce([Tensor(rows[i]) for i in perm])
+        base = self.max_over_rows(Tensor(rows))
+        shuffled = self.max_over_rows(Tensor(rows[list(perm)]))
         assert np.array_equal(base.data, shuffled.data)
 
     def test_gradient_to_lowest_argmax_on_tie(self, f64):
-        rows = [param([1.0, 2.0]), param([1.0, 0.0])]
-        ad.tsum(ad.elementwise_max_reduce(rows)).backward()
-        assert np.allclose(rows[0].grad, [1.0, 1.0])
-        assert np.allclose(rows[1].grad, [0.0, 0.0])
+        rows = param([[1.0, 2.0], [1.0, 0.0]])
+        ad.tsum(self.max_over_rows(rows)).backward()
+        assert np.allclose(rows.grad[0], [1.0, 1.0])
+        assert np.allclose(rows.grad[1], [0.0, 0.0])
+
+    def test_segments_pad_and_empty_rows(self, f64):
+        m = param([[1.0, -2.0], [3.0, 0.5], [-1.0, 4.0]])
+        index = np.array([[2, 0, 0], [1, 1, 0], [0, 0, 0]])
+        valid = np.array([[True, True, False], [True, True, True], [False, False, False]])
+        out = ad.segment_max(m, index, valid)
+        assert np.array_equal(out.data, [[1.0, 4.0], [3.0, 0.5], [0.0, 0.0]])
+        ad.tsum(out).backward()
+        # Row 1 repeats m[1] twice: its gradient is counted once.
+        assert np.array_equal(m.grad, [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
 class TestSoftmax:
@@ -170,32 +186,68 @@ def _central_diff(loss_fn, arr, h=1e-6):
     return g
 
 
+MASK = np.array([[True, True, False], [True, False, False], [True, True, True]])
+WEIGHTS = np.array([[0.3, -1.2, 0.8], [1.5, 0.4, -0.7], [-0.2, 0.9, 1.1]])
+
 OP_CASES = {
     "matmul_2d2d": lambda p: ad.tsum(ad.matmul(p, p)),
-    "matmul_1d2d": lambda p: ad.tsum(ad.matmul(ad.row(p, 0), p)),
-    "matmul_2d1d": lambda p: ad.tsum(ad.matmul(p, ad.row(p, 1))),
-    "add_broadcast": lambda p: ad.tsum(p + ad.row(p, 0)),
+    "matmul_1d2d": lambda p: ad.tsum(ad.matmul(ad.gather(p, 0), p)),
+    "matmul_2d1d": lambda p: ad.tsum(ad.matmul(p, ad.gather(p, 1))),
+    "add_broadcast": lambda p: ad.tsum(p + ad.gather(p, 0)),
     "mul": lambda p: ad.tsum(ad.mul(p, p)),
     "scale": lambda p: ad.tsum(ad.scale(p, -2.5)),
     "relu": lambda p: ad.tsum(ad.relu(p)),
     "tanh": lambda p: ad.tsum(ad.tanh(p)),
     "sigmoid": lambda p: ad.tsum(ad.sigmoid(p)),
-    "concat": lambda p: ad.tsum(ad.concat([ad.row(p, 0), ad.row(p, 2)])),
-    "stack_max": lambda p: ad.tsum(ad.max_rows(ad.stack([ad.row(p, i) for i in range(3)]))),
-    "softmax": lambda p: ad.pick(ad.softmax(ad.row(p, 1)), 0),
-    "log_softmax": lambda p: ad.pick(ad.log_softmax(ad.row(p, 1)), 2),
+    "concat": lambda p: ad.tsum(ad.concat([ad.gather(p, 0), ad.gather(p, 2)])),
+    "stack_max": lambda p: ad.tsum(
+        ad.segment_max(
+            ad.concat([ad.gather(p, [i]) for i in range(3)], axis=0),
+            np.array([[0, 1, 2]]),
+            np.ones((1, 3), dtype=bool),
+        )
+    ),
+    "softmax": lambda p: ad.gather(ad.softmax(ad.gather(p, 1)), 0),
+    "log_softmax": lambda p: ad.gather(ad.log_softmax(ad.gather(p, 1)), 2),
     "neg_sub": lambda p: ad.tsum(p - ad.scale(p, 0.5)),
     # p receives deferred outer products from vector and matrix products.
     "matmul_shared_weight": lambda p: (
-        ad.tsum(ad.tanh(ad.matmul(ad.row(p, 0), p)) + ad.matmul(ad.row(p, 2), p))
+        ad.tsum(ad.tanh(ad.matmul(ad.gather(p, 0), p)) + ad.matmul(ad.gather(p, 2), p))
         + ad.tsum(ad.matmul(ad.tanh(p), p))
     ),
     # Non-leaf matrices receive deferred pairs, then backpropagate them.
     "nonleaf_pairs": lambda p: (
-        ad.tsum(ad.tanh(ad.matmul(ad.softmax(ad.row(p, 1)), ad.tanh(p))))
-        + ad.tsum(ad.tanh(ad.matmul(ad.stack([ad.row(p, 2), ad.row(p, 0)]), ad.row(p, 0))))
+        ad.tsum(ad.tanh(ad.matmul(ad.softmax(ad.gather(p, 1)), ad.tanh(p))))
+        + ad.tsum(ad.tanh(ad.matmul(ad.gather(p, [2, 0]), ad.gather(p, 0))))
     ),
-    "row_repeated_index": lambda p: ad.tsum(ad.mul(ad.row(p, 1), ad.row(p, 1)) + ad.row(p, 1)),
+    "row_repeated_index": lambda p: ad.tsum(
+        ad.mul(ad.gather(p, 1), ad.gather(p, 1)) + ad.gather(p, 1)
+    ),
+    # Row 0 repeats row 1 (a tie the gradient must count once), row 1 is
+    # padding only and row 2 mixes real and padded entries.
+    "segment_max_empty_and_tie": lambda p: ad.tsum(
+        ad.mul(
+            ad.segment_max(
+                ad.tanh(p),
+                np.array([[1, 1, 2], [0, 0, 0], [2, 0, 0]]),
+                np.array([[True, True, True], [False, False, False], [True, True, False]]),
+            ),
+            Tensor(WEIGHTS),
+        )
+    ),
+    "masked_softmax": lambda p: ad.tsum(ad.mul(ad.softmax(p, MASK), Tensor(WEIGHTS))),
+    "gather_2d_repeated": lambda p: ad.tsum(
+        ad.tanh(ad.gather(p, np.array([[0, 2], [2, 2]])))
+    ),
+    "slice_rows": lambda p: (
+        ad.tsum(ad.tanh(ad.slice_rows(p, 1, 3))) + ad.tsum(ad.mul(ad.slice_rows(p, 0, 2), ad.slice_rows(p, 1, 3)))
+    ),
+    "concat_rows": lambda p: ad.tsum(ad.tanh(ad.concat([p, ad.gather(p, [1])], axis=0))),
+    "reshape_broadcast_add": lambda p: ad.tsum(ad.tanh(ad.reshape(p, (3, 1, 3)) + p)),
+    "einsum": lambda p: ad.tsum(
+        ad.tanh(ad.einsum("bn,bnd->bd", p, ad.gather(p, np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0]]))))
+    ),
+    "cross_entropy": lambda p: ad.cross_entropy(ad.tanh(p), [2, 0, 2]),
 }
 
 
@@ -236,8 +288,8 @@ class TestDeferredGradients:
 
     def test_repeated_row_lookups_sum(self, f64):
         embed = param(np.zeros((5, 2)))
-        loss = ad.tsum(ad.row(embed, 3)) + ad.tsum(ad.scale(ad.row(embed, 3), 2.0))
-        (loss + ad.tsum(ad.row(embed, 1))).backward()
+        loss = ad.tsum(ad.gather(embed, 3)) + ad.tsum(ad.scale(ad.gather(embed, 3), 2.0))
+        (loss + ad.tsum(ad.gather(embed, 1))).backward()
         expected = np.zeros((5, 2))
         expected[3] = 3.0
         expected[1] = 1.0
@@ -245,7 +297,7 @@ class TestDeferredGradients:
 
     def test_untouched_parameters_keep_no_gradient(self, f64):
         embed, w, unused = param(np.ones((4, 2))), param(np.ones((2, 3))), param(np.ones((2, 3)))
-        ad.tsum(ad.matmul(ad.row(embed, 2), w)).backward()
+        ad.tsum(ad.matmul(ad.gather(embed, 2), w)).backward()
         assert embed.grad is not None and w.grad is not None
         assert unused.grad is None
 

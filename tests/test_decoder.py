@@ -9,12 +9,13 @@ from sql2text.data import BOS, EOS
 from sql2text.decoder import (
     DecoderConfig,
     attention_context,
+    attention_memory,
     beam_search,
     build_decoder_params,
-    decode_step,
+    decoder_step,
     greedy_decode,
     init_state,
-    precompute_attention,
+    next_token_logits,
     sequence_loss,
 )
 from sql2text.optim import ParameterStore, randomize_parameters
@@ -41,32 +42,52 @@ def random_nodes(n, seed=0) -> Tensor:
     return Tensor(np.random.default_rng(seed).normal(size=(n, NODE_DIM)))
 
 
+def one(nodes: Tensor, graph_emb: Tensor):
+    # A batch of one example: padded nodes, node mask, graph embedding.
+    n = nodes.data.shape[0]
+    return (
+        ad.reshape(nodes, (1, n, NODE_DIM)),
+        np.ones((1, n), dtype=bool),
+        ad.reshape(graph_emb, (1, NODE_DIM)),
+    )
+
+
+def memory_of(nodes: Tensor, store, cfg):
+    padded, mask, _ = one(nodes, ad.zeros((NODE_DIM,)))
+    return attention_memory(padded, mask, store, cfg)
+
+
+def first_distribution(state, memory, store, cfg) -> np.ndarray:
+    state = decoder_step(state, memory, store, cfg)
+    return ad.softmax(next_token_logits(state, store)).data[0], state
+
+
 class TestInitState:
     def test_zero_embedding_zero_weights_gives_zero_state(self):
         cfg = small_cfg()
         store = make_store(cfg)
         for name in ("dec_init_h.w", "dec_init_h.b", "dec_init_c.w", "dec_init_c.b"):
             store[name].data = np.zeros_like(store[name].data)
-        state = init_state(ad.zeros((NODE_DIM,)), random_nodes(2), None, store, cfg)
-        assert np.array_equal(state.h.data, np.zeros(3, dtype=np.float32))
-        assert np.array_equal(state.c.data, np.zeros(3, dtype=np.float32))
-        assert state.prev_token == BOS
+        state = init_state(ad.zeros((1, NODE_DIM)), memory_of(random_nodes(2), store, cfg), store, cfg)
+        assert np.array_equal(state.h.data[0], np.zeros(3, dtype=np.float32))
+        assert np.array_equal(state.c.data[0], np.zeros(3, dtype=np.float32))
+        assert state.prev.tolist() == [BOS]
 
     def test_distinct_embeddings_give_distinct_states(self):
         cfg = small_cfg()
         store = make_store(cfg, randomize=1)
-        nodes = random_nodes(2)
-        s1 = init_state(Tensor([1.0, 0.0, 0.0, 0.0]), nodes, None, store, cfg)
-        s2 = init_state(Tensor([0.0, 1.0, 0.0, 0.0]), nodes, None, store, cfg)
+        memory = memory_of(random_nodes(2), store, cfg)
+        s1 = init_state(Tensor([[1.0, 0.0, 0.0, 0.0]]), memory, store, cfg)
+        s2 = init_state(Tensor([[0.0, 1.0, 0.0, 0.0]]), memory, store, cfg)
         assert not np.allclose(s1.h.data, s2.h.data)
 
     def test_deterministic(self):
         cfg = small_cfg()
         store = make_store(cfg, randomize=2)
-        nodes = random_nodes(3)
-        ge = Tensor([0.1, -0.2, 0.3, 0.4])
-        a = init_state(ge, nodes, None, store, cfg)
-        b = init_state(ge, nodes, None, store, cfg)
+        memory = memory_of(random_nodes(3), store, cfg)
+        ge = Tensor([[0.1, -0.2, 0.3, 0.4]])
+        a = init_state(ge, memory, store, cfg)
+        b = init_state(ge, memory, store, cfg)
         assert np.array_equal(a.h.data, b.h.data)
         assert np.array_equal(a.context.data, b.context.data)
 
@@ -74,7 +95,7 @@ class TestInitState:
         cfg = small_cfg()
         store = make_store(cfg)
         with pytest.raises(ValueError):
-            init_state(Tensor([1.0, 2.0]), random_nodes(2), None, store, cfg)
+            init_state(Tensor([[1.0, 2.0]]), memory_of(random_nodes(2), store, cfg), store, cfg)
 
 
 class TestAttention:
@@ -82,16 +103,17 @@ class TestAttention:
         cfg = small_cfg()
         store = make_store(cfg, randomize=3)
         nodes = random_nodes(1, seed=5)
-        context, weights = attention_context(Tensor([0.3, -0.1, 0.6]), nodes, None, store, cfg)
-        assert np.array_equal(weights.data, np.array([1.0], dtype=np.float32))
-        assert np.allclose(context.data, nodes.data[0])
+        memory = memory_of(nodes, store, cfg)
+        context, weights = attention_context(Tensor([[0.3, -0.1, 0.6]]), memory, store, cfg)
+        assert np.array_equal(weights.data[0], np.array([1.0], dtype=np.float32))
+        assert np.allclose(context.data[0], nodes.data[0])
 
     def test_identical_nodes_get_uniform_weights(self):
         cfg = small_cfg()
         store = make_store(cfg, randomize=4)
         row = np.array([0.5, 1.0, -0.5, 0.25], dtype=np.float32)
-        nodes = Tensor(np.stack([row] * 4))
-        _, weights = attention_context(Tensor([0.3, -0.1, 0.6]), nodes, None, store, cfg)
+        memory = memory_of(Tensor(np.stack([row] * 4)), store, cfg)
+        _, weights = attention_context(Tensor([[0.3, -0.1, 0.6]]), memory, store, cfg)
         assert np.allclose(weights.data, 0.25, atol=1e-6)
 
     def test_hand_set_scores_closed_form(self):
@@ -107,18 +129,18 @@ class TestAttention:
                 [0.0, 1.0, 0.0, 0.0],
                 [0.0, 0.0, 1.0, 0.0],
             ]))
-            _, weights = attention_context(Tensor([9.0, 9.0, 9.0]), nodes, None, store, cfg)
-            assert np.allclose(weights.data, [0.5, 0.25, 0.25], atol=1e-12)
+            memory = memory_of(nodes, store, cfg)
+            _, weights = attention_context(Tensor([[9.0, 9.0, 9.0]]), memory, store, cfg)
+            assert np.allclose(weights.data[0], [0.5, 0.25, 0.25], atol=1e-12)
 
     @pytest.mark.parametrize("attention", ["additive", "dot"])
     def test_weights_nonnegative_and_sum_to_one(self, attention):
         cfg = small_cfg(attention=attention)
         store = make_store(cfg, randomize=5)
-        nodes = random_nodes(6, seed=6)
-        proj = precompute_attention(nodes, store, cfg)
+        memory = memory_of(random_nodes(6, seed=6), store, cfg)
         for seed in range(10):
-            s = Tensor(np.random.default_rng(seed).normal(size=3))
-            _, weights = attention_context(s, nodes, proj, store, cfg)
+            s = Tensor(np.random.default_rng(seed).normal(size=(1, 3)))
+            _, weights = attention_context(s, memory, store, cfg)
             assert (weights.data >= 0).all()
             assert abs(float(weights.data.sum()) - 1.0) < 1e-6
 
@@ -127,29 +149,27 @@ class TestDecodeStep:
     def test_distribution_sums_to_one(self):
         cfg = small_cfg()
         store = make_store(cfg, randomize=6)
-        nodes = random_nodes(3, seed=7)
-        state = init_state(Tensor(np.zeros(NODE_DIM)), nodes, None, store, cfg)
-        dist, _ = decode_step(state, nodes, store, cfg)
-        assert dist.data.shape == (VOCAB,)
-        assert abs(float(dist.data.sum()) - 1.0) < 1e-6
-        assert (dist.data > 0).all()
+        memory = memory_of(random_nodes(3, seed=7), store, cfg)
+        state = init_state(ad.zeros((1, NODE_DIM)), memory, store, cfg)
+        dist, _ = first_distribution(state, memory, store, cfg)
+        assert dist.shape == (VOCAB,)
+        assert abs(float(dist.sum()) - 1.0) < 1e-6
+        assert (dist > 0).all()
 
     def test_inference_mode_is_deterministic(self):
         cfg = small_cfg(dropout=0.5)
         store = make_store(cfg, randomize=7)
-        nodes = random_nodes(3, seed=8)
-        state = init_state(Tensor(np.zeros(NODE_DIM)), nodes, None, store, cfg)
-        d1, _ = decode_step(state, nodes, store, cfg, train=False)
-        d2, _ = decode_step(state, nodes, store, cfg, train=False)
-        assert np.array_equal(d1.data, d2.data)
+        batch = one(random_nodes(3, seed=8), ad.zeros((NODE_DIM,)))
+        l1, _ = sequence_loss(*batch, [[4, 5, EOS]], store, cfg, train=False)
+        l2, _ = sequence_loss(*batch, [[4, 5, EOS]], store, cfg, train=False)
+        assert np.array_equal(l1.data, l2.data)
 
     def test_train_mode_applies_dropout(self):
         cfg = small_cfg(dropout=0.5)
         store = make_store(cfg, randomize=7)
-        nodes = random_nodes(3, seed=8)
-        state = init_state(Tensor(np.zeros(NODE_DIM)), nodes, None, store, cfg)
+        batch = one(random_nodes(3, seed=8), ad.zeros((NODE_DIM,)))
         rng = np.random.default_rng(0)
-        draws = {tuple(decode_step(state, nodes, store, cfg, train=True, rng=rng)[0].data) for _ in range(4)}
+        draws = {sequence_loss(*batch, [[4, EOS]], store, cfg, train=True, rng=rng)[0].item() for _ in range(4)}
         assert len(draws) > 1
 
     def test_two_step_unroll_matches_hand_recurrence(self):
@@ -157,13 +177,14 @@ class TestDecodeStep:
             cfg = small_cfg(hidden_size=2, word_dim=2)
             store = make_store(cfg, randomize=8)
             nodes = Tensor(np.random.default_rng(9).normal(size=(2, NODE_DIM)))
-            state = init_state(Tensor([0.2, -0.4, 0.1, 0.3]), nodes, None, store, cfg)
+            memory = memory_of(nodes, store, cfg)
+            state = init_state(Tensor([[0.2, -0.4, 0.1, 0.3]]), memory, store, cfg)
             tokens = [4, 7]
             dists = []
             for token in tokens:
-                dist, state = decode_step(state, nodes, store, cfg)
-                dists.append(dist.data.copy())
-                state.prev_token = token
+                dist, state = first_distribution(state, memory, store, cfg)
+                dists.append(dist.copy())
+                state.prev = np.array([token])
             expected = _oracle_decode(store, nodes.data, np.array([0.2, -0.4, 0.1, 0.3]), tokens)
             for got, want in zip(dists, expected):
                 assert np.allclose(got, want, atol=1e-12)
@@ -213,7 +234,7 @@ class TestSequenceLoss:
                 t.data = np.zeros_like(t.data)
             nodes = Tensor(np.zeros((2, NODE_DIM)))
             target = [4, 5, 4, EOS]
-            loss, count = sequence_loss(nodes, Tensor(np.zeros(NODE_DIM)), target, store, cfg, train=False)
+            loss, count = sequence_loss(*one(nodes, Tensor(np.zeros(NODE_DIM))), [target], store, cfg, train=False)
             assert count == 4
             assert loss.item() / count == pytest.approx(math.log(VOCAB), abs=1e-9)
 
@@ -222,29 +243,31 @@ class TestSequenceLoss:
         store = make_store(cfg, randomize=9)
         nodes = random_nodes(2, seed=10)
         ge = Tensor(np.zeros(NODE_DIM))
-        loss, count = sequence_loss(nodes, ge, [EOS], store, cfg, train=False)
+        loss, count = sequence_loss(*one(nodes, ge), [[EOS]], store, cfg, train=False)
         assert count == 1
-        state = init_state(ge, nodes, None, store, cfg)
-        dist, _ = decode_step(state, nodes, store, cfg)
-        assert loss.item() == pytest.approx(-math.log(float(dist.data[EOS])), abs=1e-5)
+        memory = memory_of(nodes, store, cfg)
+        state = init_state(ad.reshape(ge, (1, NODE_DIM)), memory, store, cfg)
+        dist, _ = first_distribution(state, memory, store, cfg)
+        assert loss.item() == pytest.approx(-math.log(float(dist[EOS])), abs=1e-5)
 
     def test_empty_target_rejected(self):
         cfg = small_cfg()
         store = make_store(cfg)
         with pytest.raises(ValueError):
-            sequence_loss(random_nodes(2), Tensor(np.zeros(NODE_DIM)), [], store, cfg)
+            sequence_loss(*one(random_nodes(2), Tensor(np.zeros(NODE_DIM))), [[]], store, cfg)
 
     def test_target_must_end_with_eos(self):
         cfg = small_cfg()
         store = make_store(cfg)
         with pytest.raises(ValueError):
-            sequence_loss(random_nodes(2), Tensor(np.zeros(NODE_DIM)), [4, 5], store, cfg)
+            sequence_loss(*one(random_nodes(2), Tensor(np.zeros(NODE_DIM))), [[4, 5]], store, cfg)
 
     def test_gradients_flow_to_every_parameter_group(self):
         cfg = small_cfg()
         store = make_store(cfg, randomize=10)
         nodes = Tensor(np.random.default_rng(11).normal(size=(3, NODE_DIM)), requires_grad=True)
-        loss, _ = sequence_loss(nodes, ad.max_rows(nodes), [4, EOS], store, cfg, train=False)
+        graph_emb = ad.segment_max(nodes, np.array([[0, 1, 2]]), np.ones((1, 3), dtype=bool))
+        loss, _ = sequence_loss(*one(nodes, graph_emb), [[4, EOS]], store, cfg, train=False)
         loss.backward()
         touched = [name for name, t in store.items() if t.grad is not None]
         assert "tgt_embed" in touched
@@ -261,8 +284,8 @@ class TestDecoding:
             randomize_parameters(store, np.random.default_rng(seed), scale=1.0)
             nodes = random_nodes(3, seed=seed)
             ge = Tensor(np.random.default_rng(seed + 500).normal(size=NODE_DIM))
-            greedy = greedy_decode(nodes, ge, store, cfg)
-            beamed = beam_search(nodes, ge, store, cfg, beam_size=1)
+            greedy = greedy_decode(*one(nodes, ge), store, cfg)
+            beamed = beam_search(*one(nodes, ge), store, cfg, beam_size=1)
             assert greedy == beamed, f"seed {seed}: {greedy} vs {beamed}"
 
     def test_forced_token_returned_for_any_beam_size(self):
@@ -274,7 +297,7 @@ class TestDecoding:
         bias[5] = 50.0
         store["dec_out.b"].data = bias
         outputs = {
-            beam: beam_search(random_nodes(2), Tensor(np.zeros(NODE_DIM)), store, cfg, beam_size=beam)
+            beam: beam_search(*one(random_nodes(2), Tensor(np.zeros(NODE_DIM))), store, cfg, beam_size=beam)
             for beam in (1, 2, 5)
         }
         assert all(out == [5, 5, 5] for out in outputs.values())
@@ -288,7 +311,7 @@ class TestDecoding:
         bias[EOS] = 50.0
         store["dec_out.b"].data = bias
         for beam in (1, 3):
-            assert beam_search(random_nodes(2), Tensor(np.zeros(NODE_DIM)), store, cfg, beam_size=beam) == []
+            assert beam_search(*one(random_nodes(2), Tensor(np.zeros(NODE_DIM))), store, cfg, beam_size=beam) == []
 
     def test_length_cap_truncates(self):
         cfg = small_cfg(max_decode_len=3)
@@ -298,7 +321,7 @@ class TestDecoding:
         bias = np.zeros(VOCAB, dtype=np.float32)
         bias[4] = 50.0
         store["dec_out.b"].data = bias
-        assert greedy_decode(random_nodes(2), Tensor(np.zeros(NODE_DIM)), store, cfg) == [4, 4, 4]
+        assert greedy_decode(*one(random_nodes(2), Tensor(np.zeros(NODE_DIM))), store, cfg) == [4, 4, 4]
 
     def test_wider_beam_never_scores_worse(self):
         cfg = small_cfg(max_decode_len=8)
@@ -311,12 +334,12 @@ class TestDecoding:
             ge = Tensor(np.random.default_rng(seed + 900).normal(size=NODE_DIM))
 
             def hyp_score(tokens):
-                loss, _ = sequence_loss(nodes, ge, list(tokens) + [EOS], store, cfg, train=False)
+                loss, _ = sequence_loss(*one(nodes, ge), [list(tokens) + [EOS]], store, cfg, train=False)
                 return -loss.item()
 
             prev_score = None
             for beam in (1, 2, 3, 4):
-                out = beam_search(nodes, ge, store, cfg, beam_size=beam)
+                out = beam_search(*one(nodes, ge), store, cfg, beam_size=beam)
                 if len(out) >= cfg.max_decode_len:
                     prev_score = None
                     break  # unterminated; score comparison not meaningful

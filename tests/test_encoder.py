@@ -10,6 +10,7 @@ from sql2text.encoder import (
     encode,
     graph_embedding_pooling,
     init_node_features,
+    padded_index,
     propagate,
 )
 from sql2text.graphs import GraphNode, QueryGraph, build_graph, to_undirected
@@ -33,6 +34,11 @@ def hop_store(cfg: EncoderConfig, seed=0) -> ParameterStore:
 
 def vocab_over(tokens) -> Vocabulary:
     return Vocabulary(list(SPECIAL_TOKENS) + sorted(set(tokens)))
+
+
+def all_rows(n):
+    # One segment holding rows 0..n-1.
+    return padded_index([range(n)])
 
 
 # Independent plain-numpy transcription of the propagation recurrence.
@@ -85,35 +91,39 @@ class TestTwoNodeHandFixture:
             self.store[f"hop1.{direction}.out.w"].data = fold.copy()
             self.store[f"hop1.{direction}.out.b"].data = np.zeros(2)
         self.graph = make_graph(2, [(0, 1)])
-        self.feats = [Tensor([1.0, 2.0]), Tensor([3.0, -1.0])]
+        self.feats = Tensor([[1.0, 2.0], [3.0, -1.0]])
 
     def test_frozen_hand_values(self):
-        embs = propagate(self.graph, self.feats, self.store, self.cfg)
-        assert np.allclose(embs.h_fwd[1][0].data, [4.0, 2.0], atol=1e-6)
-        assert np.allclose(embs.h_fwd[1][1].data, [3.0, 0.0], atol=1e-6)
-        assert np.allclose(embs.h_bwd[1][0].data, [1.0, 2.0], atol=1e-6)
-        assert np.allclose(embs.h_bwd[1][1].data, [4.0, 1.0], atol=1e-6)
-        assert np.allclose(embs.final[0].data, [4.0, 2.0, 1.0, 2.0], atol=1e-6)
-        assert np.allclose(embs.final[1].data, [3.0, 0.0, 4.0, 1.0], atol=1e-6)
+        # K=1: the forward half of each row is hop 1's forward state, the
+        # backward half hop 1's backward state.
+        final = propagate(self.graph, self.feats, self.store, self.cfg).data
+        assert np.allclose(final[0, :2], [4.0, 2.0], atol=1e-6)
+        assert np.allclose(final[1, :2], [3.0, 0.0], atol=1e-6)
+        assert np.allclose(final[0, 2:], [1.0, 2.0], atol=1e-6)
+        assert np.allclose(final[1, 2:], [4.0, 1.0], atol=1e-6)
+        assert np.allclose(final[0], [4.0, 2.0, 1.0, 2.0], atol=1e-6)
+        assert np.allclose(final[1], [3.0, 0.0, 4.0, 1.0], atol=1e-6)
 
     def test_base_case_is_initial_features(self):
-        embs = propagate(self.graph, self.feats, self.store, self.cfg)
+        # Hop 0 is the initial feature vector for both directions.
+        cfg0 = EncoderConfig(hop_size=0, hidden_dim=2, word_dim=2)
+        final = propagate(self.graph, self.feats, self.store, cfg0).data
         for v in range(2):
-            assert np.array_equal(embs.h_fwd[0][v].data, self.feats[v].data)
-            assert np.array_equal(embs.h_bwd[0][v].data, self.feats[v].data)
+            assert np.array_equal(final[v, :2], self.feats.data[v])
+            assert np.array_equal(final[v, 2:], self.feats.data[v])
 
 
 class TestPropagate:
     def test_k0_concatenates_features_and_ignores_edges(self):
         cfg = EncoderConfig(hop_size=0, hidden_dim=3, word_dim=3)
         store = hop_store(cfg)
-        feats = [Tensor([1.0, 2.0, 3.0]), Tensor([4.0, 5.0, 6.0])]
-        embs = propagate(make_graph(2, [(0, 1)]), feats, store, cfg)
-        assert np.allclose(embs.final[0].data, [1, 2, 3, 1, 2, 3])
-        assert np.allclose(embs.final[1].data, [4, 5, 6, 4, 5, 6])
+        feats = Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        final = propagate(make_graph(2, [(0, 1)]), feats, store, cfg)
+        assert np.allclose(final.data[0], [1, 2, 3, 1, 2, 3])
+        assert np.allclose(final.data[1], [4, 5, 6, 4, 5, 6])
         no_edges = propagate(make_graph(2, []), feats, store, cfg)
         for v in range(2):
-            assert np.array_equal(embs.final[v].data, no_edges.final[v].data)
+            assert np.array_equal(final.data[v], no_edges.data[v])
 
     def test_three_node_matches_oracle(self):
         with default_dtype(np.float64):
@@ -123,11 +133,10 @@ class TestPropagate:
             edges = [(0, 1), (1, 2), (0, 2)]
             rng = np.random.default_rng(3)
             raw = rng.normal(size=(3, 3))
-            feats = [Tensor(raw[i]) for i in range(3)]
-            embs = propagate(make_graph(3, edges), feats, store, cfg)
+            final = propagate(make_graph(3, edges), Tensor(raw), store, cfg)
             expected = oracle_propagate(raw, edges, store, cfg)
             for v in range(3):
-                assert np.allclose(embs.final[v].data, expected[v], atol=1e-6)
+                assert np.allclose(final.data[v], expected[v], atol=1e-6)
 
     def test_shared_direction_weights_mode(self):
         with default_dtype(np.float64):
@@ -140,18 +149,18 @@ class TestPropagate:
             edges = [(0, 1), (1, 2)]
             rng = np.random.default_rng(4)
             raw = rng.normal(size=(3, 3))
-            embs = propagate(make_graph(3, edges), [Tensor(r) for r in raw], store, cfg)
+            final = propagate(make_graph(3, edges), Tensor(raw), store, cfg)
             expected = oracle_propagate(raw, edges, store, cfg)
             for v in range(3):
-                assert np.allclose(embs.final[v].data, expected[v], atol=1e-6)
+                assert np.allclose(final.data[v], expected[v], atol=1e-6)
 
     def test_isolated_node_uses_zero_neighborhoods(self):
         cfg = EncoderConfig(hop_size=2, hidden_dim=3, word_dim=3)
         store = hop_store(cfg, seed=2)
-        feats = [Tensor([0.5, -0.5, 1.0]), Tensor([1.0, 1.0, 1.0]), Tensor([0.1, 0.2, 0.3])]
-        embs = propagate(make_graph(3, [(1, 2)]), feats, store, cfg)
-        alone = propagate(make_graph(1, []), feats[:1], store, cfg)
-        assert np.array_equal(embs.final[0].data, alone.final[0].data)
+        feats = np.array([[0.5, -0.5, 1.0], [1.0, 1.0, 1.0], [0.1, 0.2, 0.3]])
+        final = propagate(make_graph(3, [(1, 2)]), Tensor(feats), store, cfg)
+        alone = propagate(make_graph(1, []), Tensor(feats[:1]), store, cfg)
+        assert np.array_equal(final.data[0], alone.data[0])
 
     def test_permutation_of_adjacency_storage_is_exact(self):
         cfg = EncoderConfig(hop_size=3, hidden_dim=4, word_dim=4)
@@ -161,15 +170,15 @@ class TestPropagate:
         ))
         rng = np.random.default_rng(0)
         feats_raw = rng.normal(size=(len(graph.nodes), 4))
-        base = propagate(graph, [Tensor(r) for r in feats_raw], store, cfg)
+        base = propagate(graph, Tensor(feats_raw), store, cfg)
         perm_rng = np.random.default_rng(123)
         for _ in range(100):
             edges = list(graph.edges)
             perm_rng.shuffle(edges)
             shuffled = QueryGraph(list(graph.nodes), edges)
-            out = propagate(shuffled, [Tensor(r) for r in feats_raw], store, cfg)
+            out = propagate(shuffled, Tensor(feats_raw), store, cfg)
             for v in range(len(graph.nodes)):
-                assert np.array_equal(base.final[v].data, out.final[v].data)
+                assert np.array_equal(base.data[v], out.data[v])
 
     def test_hop_locality_on_path_graph(self):
         cfg = EncoderConfig(hop_size=2, hidden_dim=4, word_dim=4)
@@ -180,7 +189,7 @@ class TestPropagate:
             graph = make_graph(4, [(0, 1), (1, 2), (2, 3)],
                                texts=[("t0",), ("t1",), ("t2",), (last_text,)])
             feats = init_node_features(graph, vocab, store, cfg)
-            return propagate(graph, feats, store, cfg).final[0].data
+            return propagate(graph, feats, store, cfg).data[0]
 
         assert np.array_equal(endpoint_embedding("original"), endpoint_embedding("mutated"))
 
@@ -194,7 +203,7 @@ class TestPropagate:
         def endpoint_embedding(text):
             graph = make_graph(3, [(0, 1), (1, 2)], texts=[("t0",), ("t1",), (text,)])
             feats = init_node_features(graph, vocab, store, cfg)
-            return propagate(graph, feats, store, cfg).final[0].data
+            return propagate(graph, feats, store, cfg).data[0]
 
         assert not np.array_equal(endpoint_embedding("original"), endpoint_embedding("mutated"))
 
@@ -206,10 +215,10 @@ class TestPropagate:
         graph = make_graph(2, [(0, 1)], texts=[("u",), ("v",)])
         feats = init_node_features(graph, vocab, store, cfg)
         directed = propagate(graph, feats, store, cfg)
-        assert not np.allclose(directed.final[0].data, directed.final[1].data)
+        assert not np.allclose(directed.data[0], directed.data[1])
         undirected = propagate(to_undirected(graph), feats, store, cfg)
         changed = any(
-            not np.array_equal(directed.final[v].data, undirected.final[v].data)
+            not np.array_equal(directed.data[v], undirected.data[v])
             for v in range(2)
         )
         assert changed
@@ -219,27 +228,27 @@ class TestAggregateDirection:
     def test_empty_neighborhood_gives_zero(self):
         cfg = EncoderConfig(hop_size=1, hidden_dim=3, word_dim=3)
         store = hop_store(cfg)
-        out = aggregate_direction([], store, 1, "fwd", 3)
-        assert np.array_equal(out.data, np.zeros(3, dtype=np.float32))
+        out = aggregate_direction(Tensor(np.ones((1, 3))), padded_index([[]]), store, 1, "fwd")
+        assert np.array_equal(out.data[0], np.zeros(3, dtype=np.float32))
 
     def test_singleton_is_transformed_vector(self):
         with default_dtype(np.float64):
             cfg = EncoderConfig(hop_size=1, hidden_dim=3, word_dim=3)
             store = hop_store(cfg, seed=4)
             h = np.array([0.3, -0.7, 1.1])
-            out = aggregate_direction([Tensor(h)], store, 1, "fwd", 3)
+            out = aggregate_direction(Tensor(h[None, :]), padded_index([[0]]), store, 1, "fwd")
             w, b = store["hop1.fwd.agg.w"].data, store["hop1.fwd.agg.b"].data
-            assert np.allclose(out.data, np.maximum(h @ w + b, 0.0))
+            assert np.allclose(out.data[0], np.maximum(h @ w + b, 0.0))
 
     def test_identity_weights_three_neighbors(self):
         cfg = EncoderConfig(hop_size=1, hidden_dim=3, word_dim=3)
         store = hop_store(cfg)
         store["hop1.fwd.agg.w"].data = np.eye(3, dtype=np.float32)
         store["hop1.fwd.agg.b"].data = np.zeros(3, dtype=np.float32)
-        rows = [Tensor([1.0, -2.0, 0.5]), Tensor([-0.5, 3.0, 0.25]), Tensor([0.0, 0.0, 4.0])]
-        out = aggregate_direction(rows, store, 1, "fwd", 3)
-        expected = np.maximum(np.stack([r.data for r in rows]), 0.0).max(axis=0)
-        assert np.allclose(out.data, expected)
+        rows = Tensor([[1.0, -2.0, 0.5], [-0.5, 3.0, 0.25], [0.0, 0.0, 4.0]])
+        out = aggregate_direction(rows, padded_index([[0, 1, 2]]), store, 1, "fwd")
+        expected = np.maximum(rows.data, 0.0).max(axis=0)
+        assert np.allclose(out.data[0], expected)
 
 
 class TestNodeFeatures:
@@ -251,7 +260,7 @@ class TestNodeFeatures:
             vocab = vocab_over(["select"])
             graph = make_graph(1, [], texts=[("select",)])
             feats = init_node_features(graph, vocab, store, cfg)
-            assert np.allclose(feats[0].data, _oracle_lstm(store, vocab, ("select",)), atol=1e-12)
+            assert np.allclose(feats.data[0], _oracle_lstm(store, vocab, ("select",)), atol=1e-12)
 
     def test_two_token_node_matches_hand_recurrence(self):
         with default_dtype(np.float64):
@@ -261,7 +270,7 @@ class TestNodeFeatures:
             vocab = vocab_over([">", "val_0"])
             graph = make_graph(1, [], texts=[(">", "val_0")])
             feats = init_node_features(graph, vocab, store, cfg)
-            assert np.allclose(feats[0].data, _oracle_lstm(store, vocab, (">", "val_0")), atol=1e-12)
+            assert np.allclose(feats.data[0], _oracle_lstm(store, vocab, (">", "val_0")), atol=1e-12)
 
     def test_identical_texts_share_features(self):
         cfg = EncoderConfig(hop_size=1, hidden_dim=3, word_dim=3)
@@ -269,7 +278,7 @@ class TestNodeFeatures:
         vocab = vocab_over(["dup"])
         graph = make_graph(2, [], texts=[("dup",), ("dup",)])
         feats = init_node_features(graph, vocab, store, cfg)
-        assert np.array_equal(feats[0].data, feats[1].data)
+        assert np.array_equal(feats.data[0], feats.data[1])
 
     def test_unknown_tokens_map_to_unk(self):
         cfg = EncoderConfig(hop_size=1, hidden_dim=3, word_dim=3)
@@ -279,7 +288,7 @@ class TestNodeFeatures:
         also_unknown = make_graph(1, [], texts=[("enigma",)])
         f1 = init_node_features(known, vocab, store, cfg)
         f2 = init_node_features(also_unknown, vocab, store, cfg)
-        assert np.array_equal(f1[0].data, f2[0].data)
+        assert np.array_equal(f1.data[0], f2.data[0])
 
 
 def _oracle_lstm(store, vocab, text):
@@ -309,16 +318,16 @@ class TestGraphEmbedding:
             store = hop_store(cfg, seed=11)
             randomize_parameters(store, np.random.default_rng(4))
             final = Tensor(np.array([[0.5, -1.0, 2.0, 0.0]]))
-            out = graph_embedding_pooling(final, store)
+            out = graph_embedding_pooling(final, all_rows(1), store)
             w, b = store["ge_pool.w"].data, store["ge_pool.b"].data
-            assert np.allclose(out.data, final.data[0] @ w + b)
+            assert np.allclose(out.data[0], final.data[0] @ w + b)
 
     def test_pooling_equal_rows(self):
         cfg = EncoderConfig(hop_size=0, hidden_dim=2, word_dim=2)
         store = hop_store(cfg, seed=11)
         row = np.array([0.5, -1.0, 2.0, 0.0], dtype=np.float32)
-        out = graph_embedding_pooling(Tensor(np.stack([row, row, row])), store)
-        single = graph_embedding_pooling(Tensor(row.reshape(1, 4)), store)
+        out = graph_embedding_pooling(Tensor(np.stack([row, row, row])), all_rows(3), store)
+        single = graph_embedding_pooling(Tensor(row.reshape(1, 4)), all_rows(1), store)
         # BLAS may group the two matmul shapes differently; equality is
         # mathematical, not bitwise.
         assert np.allclose(out.data, single.data, atol=1e-6)
@@ -329,16 +338,16 @@ class TestGraphEmbedding:
             store = hop_store(cfg, seed=12)
             randomize_parameters(store, np.random.default_rng(5))
             rows = np.random.default_rng(6).normal(size=(5, 6))
-            out = graph_embedding_pooling(Tensor(rows), store)
+            out = graph_embedding_pooling(Tensor(rows), all_rows(5), store)
             w, b = store["ge_pool.w"].data, store["ge_pool.b"].data
-            assert np.allclose(out.data, (rows @ w + b).max(axis=0))
+            assert np.allclose(out.data[0], (rows @ w + b).max(axis=0))
 
     def test_supernode_k0_independent_of_graph(self):
         cfg = EncoderConfig(hop_size=0, hidden_dim=3, word_dim=3, ge_method="supernode")
         store = hop_store(cfg, seed=13)
         vocab = vocab_over(["a", "b", "c", "<super>"])
-        _, ge1 = encode(build_graph(parse("SELECT a")), vocab, store, cfg)
-        _, ge2 = encode(build_graph(parse("SELECT b, c")), vocab, store, cfg)
+        *_, ge1 = encode([build_graph(parse("SELECT a"))], vocab, store, cfg)
+        *_, ge2 = encode([build_graph(parse("SELECT b, c"))], vocab, store, cfg)
         assert np.array_equal(ge1.data, ge2.data)
 
     def test_supernode_three_node_matches_oracle(self):
@@ -350,13 +359,11 @@ class TestGraphEmbedding:
             randomize_parameters(store, np.random.default_rng(7))
             vocab = vocab_over(["a", "b", "c", "<super>"])
             graph = make_graph(3, [(0, 1), (0, 2)], texts=[("a",), ("b",), ("c",)])
-            embs, ge = encode(graph, vocab, store, cfg)
+            *_, ge = encode([graph], vocab, store, cfg)
             augmented = add_super_node(graph)
             feats = init_node_features(augmented, vocab, store, cfg)
-            expected = oracle_propagate(
-                [f.data for f in feats], augmented.edges, store, cfg
-            )
-            assert np.allclose(ge.data, expected[-1], atol=1e-9)
+            expected = oracle_propagate(list(feats.data), augmented.edges, store, cfg)
+            assert np.allclose(ge.data[0], expected[-1], atol=1e-9)
 
     def test_pooling_and_supernode_differ(self):
         cfg_pool = EncoderConfig(hop_size=1, hidden_dim=3, word_dim=3, ge_method="pooling")
@@ -364,9 +371,9 @@ class TestGraphEmbedding:
         randomize_parameters(store, np.random.default_rng(8))
         vocab = vocab_over(["a", "b", "<super>"])
         graph = build_graph(parse("SELECT a, b"))
-        _, ge_pool = encode(graph, vocab, store, cfg_pool)
+        *_, ge_pool = encode([graph], vocab, store, cfg_pool)
         cfg_super = EncoderConfig(hop_size=1, hidden_dim=3, word_dim=3, ge_method="supernode")
-        _, ge_super = encode(graph, vocab, store, cfg_super)
+        *_, ge_super = encode([graph], vocab, store, cfg_super)
         assert not np.allclose(ge_pool.data, ge_super.data)
 
 
@@ -380,8 +387,8 @@ def test_encoder_gradients_match_finite_differences():
     graph = build_graph(parse("SELECT a, b"))
 
     def loss(s):
-        embs, ge = encode(graph, vocab, s, cfg)
-        return ad.tsum(ge) + ad.tsum(embs.matrix)
+        nodes, _, ge = encode([graph], vocab, s, cfg)
+        return ad.tsum(ge) + ad.tsum(nodes)
 
     err = finite_difference_check(loss, store, samples=60, rng=np.random.default_rng(12))
     assert err < 1e-3

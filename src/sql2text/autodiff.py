@@ -324,12 +324,11 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # (1 + tanh(x/2)) / 2 keeps the input dtype and has no exp to overflow
+    # or underflow, and no branch; its error is within an ulp of 1.
+    out = np.tanh(0.5 * a.data)
+    out += 1.0
+    out *= 0.5
 
     def backward(g):
         _accumulate(a, g * out * (1.0 - out))

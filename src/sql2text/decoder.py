@@ -12,6 +12,7 @@ a mask over the padding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,8 @@ class DecoderConfig:
             raise ValueError("max_decode_len must be >= 1")
         if self.attention not in ("additive", "dot"):
             raise ValueError(f"unknown attention {self.attention!r}")
+        if not 0.0 <= self.length_norm_alpha < math.inf:
+            raise ValueError("length_norm_alpha must be finite and >= 0")
 
 
 @dataclass
@@ -221,19 +224,6 @@ def greedy_decode(
     return out
 
 
-@dataclass
-class Hypothesis:
-    tokens: tuple[int, ...]
-    log_prob: float
-    parent: int  # row of the decoder state the hypothesis continues
-    terminated: bool
-
-    def score(self, alpha: float) -> float:
-        if alpha == 0.0 or not self.tokens:
-            return self.log_prob
-        return self.log_prob / (len(self.tokens) ** alpha)
-
-
 def beam_search(
     nodes: Tensor,
     mask: np.ndarray,
@@ -246,52 +236,54 @@ def beam_search(
     without BOS/EOS.
 
     Each step runs the live hypotheses as the rows of one decoder state.
-    Completed (EOS-terminated) hypotheses are collected as they appear;
-    the best-scoring hypothesis wins, with hypotheses still live at the
-    length cap competing only when no completed one scores higher.
+    Candidates are each row's top ``width`` tokens (a tie goes to the
+    lower id), taken row by row; the ``width`` best-scoring non-EOS ones
+    stay live, by a stable sort.  A hypothesis of n tokens with log-prob
+    log p scores log p / n^alpha (an empty one log p).  EOS-terminated
+    hypotheses are collected as they appear; the first best-scoring one
+    wins, with hypotheses still live at the length cap competing only
+    when none of them scores higher.
+
+    The search stops once the best finished score reaches
+    max(live log p) / max_decode_len^alpha.  This is exact for every
+    alpha >= 0: log-probs are <= 0 and a continuation only lowers log p
+    and adds tokens up to the cap, so no live hypothesis can end above
+    that bound.
     """
     width = beam_size if beam_size is not None else cfg.beam_size
     if width < 1:
         raise ValueError("beam_size must be >= 1")
     alpha = cfg.length_norm_alpha
+    cap_norm = cfg.max_decode_len**alpha
     with ad.no_grad():
         copies = np.zeros(width, dtype=np.intp)
         memory = attention_memory(ad.gather(nodes, copies), mask[copies], store, cfg)
         state = init_state(graph_emb, memory, store, cfg)
-        live = [Hypothesis((), 0.0, 0, False)]
-        done: list[Hypothesis] = []
-        for _ in range(cfg.max_decode_len):
+        log_p = np.zeros(1)  # (live,) running log-probs, float64
+        history = np.zeros((1, 0), dtype=np.intp)  # (live, t) tokens so far
+        done: list[tuple[float, np.ndarray]] = []  # (score, tokens), in the order found
+        for t in range(cfg.max_decode_len):
             state = decoder_step(state, memory, store, cfg)
-            log_probs = ad.log_softmax(next_token_logits(state, store)).data
-            candidates: list[Hypothesis] = []
-            for row, hyp in enumerate(live):
-                # Stable sort keeps ties at the lowest token id, matching argmax.
-                top = np.argsort(-log_probs[row], kind="stable")[:width]
-                for token in top:
-                    token = int(token)
-                    lp = hyp.log_prob + float(log_probs[row, token])
-                    if token == EOS:
-                        candidates.append(Hypothesis(hyp.tokens, lp, row, True))
-                    else:
-                        candidates.append(Hypothesis(hyp.tokens + (token,), lp, row, False))
-            done.extend(h for h in candidates if h.terminated)
-            alive = [h for h in candidates if not h.terminated]
-            alive.sort(key=lambda h: -h.score(alpha))
-            live = alive[:width]
-            if not live:
+            step = ad.log_softmax(next_token_logits(state, store)).data
+            # Stable sort keeps ties at the lowest token id, matching argmax.
+            top = np.argsort(-step, axis=1, kind="stable")[:, :width]
+            rows = np.repeat(np.arange(len(log_p)), top.shape[1])
+            tokens = top.reshape(-1)
+            cand = log_p[rows] + step[rows, tokens]
+            ended = np.flatnonzero(tokens == EOS)
+            done.extend(zip(cand[ended] / max(t, 1) ** alpha, history[rows[ended]]))
+            going = np.flatnonzero(tokens != EOS)
+            keep = going[np.argsort(-(cand[going] / (t + 1) ** alpha), kind="stable")[:width]]
+            log_p = cand[keep]
+            history = np.concatenate([history[rows[keep]], tokens[keep, None]], axis=1)
+            if not keep.size or (done and max(s for s, _ in done) >= log_p.max() / cap_norm):
                 break
-            if alpha == 0.0 and done:
-                # Extending can only lower a log-prob score, so once the
-                # best finished hypothesis beats every live one, stop.
-                if max(h.score(alpha) for h in done) >= live[0].score(alpha):
-                    break
-            parents = [h.parent for h in live]
+            parents = rows[keep]
             state = DecoderState(
                 ad.gather(state.h, parents),
                 ad.gather(state.c, parents),
                 ad.gather(state.context, parents),
-                np.array([h.tokens[-1] for h in live]),
+                tokens[keep],
             )
-        pool = done + live
-        best = max(pool, key=lambda h: h.score(alpha))
-    return list(best.tokens)
+        pool = done + list(zip(log_p / history.shape[1] ** alpha, history))
+    return max(pool, key=lambda c: c[0])[1].tolist()

@@ -127,19 +127,25 @@ def adam_step(store: ParameterStore, state: AdamState) -> None:
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
     for name, p in store.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / bias1
-        v_hat = v / bias2
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        if name not in state.m:
+            if p.grad is None:
+                continue  # zero moments and no gradient: a zero update
+            state.m[name], state.v[name] = np.zeros_like(p.data), np.zeros_like(p.data)
+        g = p.grad if p.grad is not None else 0.0
+        # In place, rounding as m = b1 * m + (1 - b1) * g, v likewise with
+        # g * g, and p - lr * (m / bias1) / (sqrt(v / bias2) + eps).
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        denom = v / bias2
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step = m / bias1
+        step *= state.lr
+        step /= denom
+        p.data = p.data - step  # a new array: Tensor(ndarray) may alias the caller's
     store.zero_grad()
 
 

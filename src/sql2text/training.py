@@ -50,6 +50,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.hop_size < 0:
             raise ValueError("hop_size must be >= 0")
+        if not 0.0 <= self.length_norm_alpha < math.inf:
+            raise ValueError("length_norm_alpha must be finite and >= 0")
 
     def model_config(self) -> ModelConfig:
         names = {f.name for f in fields(ModelConfig)}

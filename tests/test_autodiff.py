@@ -349,6 +349,16 @@ def test_forward_values_stay_finite():
     assert np.isfinite(ad.softmax(Tensor([-1e4, 0.0, 1e4])).data).all()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_saturates_without_floating_point_errors(dtype):
+    x = np.array([-1e4, -50.0, 0.0, 50.0, 1e4], dtype=dtype)
+    with ad.default_dtype(dtype), np.errstate(all="raise"):
+        out = ad.sigmoid(Tensor(x)).data
+    assert out.dtype == dtype
+    assert ((out >= 0.0) & (out <= 1.0)).all()
+    assert out[0] == 0.0 and out[2] == 0.5 and out[-1] == 1.0
+
+
 def test_grad_shape_matches_value_shape(f64):
     p = param(np.ones((2, 3)))
     ad.tsum(ad.mul(p, p)).backward()

@@ -207,6 +207,17 @@ class TestConfigPlumbing:
         assert code == 2
         assert "nonsense_key" in err
 
+    def test_negative_length_norm_alpha_is_usage_error(self, capsys, tmp_path):
+        data = tmp_path / "d.jsonl"
+        data.write_text(json.dumps({"sql": "SELECT a", "text": "which a"}) + "\n")
+        code, _, err = run(
+            capsys, "train", "--train", str(data), "--out", str(tmp_path / "m.ckpt"),
+            "--length-norm-alpha", "-0.5",
+        )
+        assert code == 2
+        assert "length_norm_alpha" in err
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_env_var_supplies_default_config(self, capsys, tmp_path, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"word_dim": 8, "hidden": 8, "epochs": 1, "hop_size": 1}))

@@ -1,13 +1,16 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from sql2text import autodiff as ad
+from sql2text import decoder
 from sql2text.autodiff import Tensor, default_dtype
 from sql2text.data import BOS, EOS
 from sql2text.decoder import (
     DecoderConfig,
+    DecoderState,
     attention_context,
     attention_memory,
     beam_search,
@@ -349,3 +352,118 @@ class TestDecoding:
                     checked += 1
                 prev_score = score
         assert checked >= 30
+
+
+@dataclass
+class Hypothesis:
+    tokens: tuple[int, ...]
+    log_prob: float
+    parent: int  # row of the decoder state the hypothesis continues
+    terminated: bool
+
+    def score(self, alpha: float) -> float:
+        if alpha == 0.0 or not self.tokens:
+            return self.log_prob
+        return self.log_prob / (len(self.tokens) ** alpha)
+
+
+def reference_beam_search(nodes, mask, graph_emb, store, cfg, beam_size=None):
+    """List-based beam search, the reference the array search must match
+    token for token: one Hypothesis per candidate, a per-row argsort, a
+    keyed sort, and an early stop only when alpha is 0."""
+    width = beam_size if beam_size is not None else cfg.beam_size
+    alpha = cfg.length_norm_alpha
+    with ad.no_grad():
+        copies = np.zeros(width, dtype=np.intp)
+        memory = attention_memory(ad.gather(nodes, copies), mask[copies], store, cfg)
+        state = init_state(graph_emb, memory, store, cfg)
+        live = [Hypothesis((), 0.0, 0, False)]
+        done: list[Hypothesis] = []
+        for _ in range(cfg.max_decode_len):
+            state = decoder_step(state, memory, store, cfg)
+            log_probs = ad.log_softmax(next_token_logits(state, store)).data
+            candidates: list[Hypothesis] = []
+            for row, hyp in enumerate(live):
+                top = np.argsort(-log_probs[row], kind="stable")[:width]
+                for token in top:
+                    token = int(token)
+                    lp = hyp.log_prob + float(log_probs[row, token])
+                    if token == EOS:
+                        candidates.append(Hypothesis(hyp.tokens, lp, row, True))
+                    else:
+                        candidates.append(Hypothesis(hyp.tokens + (token,), lp, row, False))
+            done.extend(h for h in candidates if h.terminated)
+            alive = [h for h in candidates if not h.terminated]
+            alive.sort(key=lambda h: -h.score(alpha))
+            live = alive[:width]
+            if not live:
+                break
+            if alpha == 0.0 and done:
+                if max(h.score(alpha) for h in done) >= live[0].score(alpha):
+                    break
+            parents = [h.parent for h in live]
+            state = DecoderState(
+                ad.gather(state.h, parents),
+                ad.gather(state.c, parents),
+                ad.gather(state.context, parents),
+                np.array([h.tokens[-1] for h in live]),
+            )
+        best = max(done + live, key=lambda h: h.score(alpha))
+    return list(best.tokens)
+
+
+def probe(seed: int, cfg: DecoderConfig):
+    """A random store with EOS nudged by 0 to 1.5, so that some probes
+    terminate and some run to the cap, and a random one-example batch."""
+    store = make_store(cfg)
+    randomize_parameters(store, np.random.default_rng(seed), scale=1.0)
+    store["dec_out.b"].data[EOS] += 0.5 * (seed % 4)
+    ge = Tensor(np.random.default_rng(seed + 900).normal(size=NODE_DIM))
+    return store, one(random_nodes(3, seed=seed), ge)
+
+
+class TestBeamSearchMatchesReference:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5])
+    def test_token_identical_on_random_stores(self, alpha):
+        cfg = small_cfg(max_decode_len=6, length_norm_alpha=alpha)
+        lengths = []
+        for seed in range(40):
+            store, batch = probe(seed, cfg)
+            for width in (1, 2, 3, 5):
+                want = reference_beam_search(*batch, store, cfg, beam_size=width)
+                got = beam_search(*batch, store, cfg, beam_size=width)
+                assert got == want, f"seed {seed}, width {width}: {got} vs {want}"
+                lengths.append(len(want))
+        # Outputs cut by the length cap and ended by EOS are both covered.
+        assert cfg.max_decode_len in lengths
+        assert any(0 < n < cfg.max_decode_len for n in lengths)
+
+    def test_stops_before_the_cap_under_length_normalisation(self, monkeypatch):
+        cfg = small_cfg(max_decode_len=30, length_norm_alpha=1.0)
+        steps = []
+
+        def counted(*args):
+            steps[-1] += 1
+            return decoder_step(*args)
+
+        monkeypatch.setattr(decoder, "decoder_step", counted)
+        for seed in range(10):
+            store, batch = probe(seed, cfg)
+            steps.append(0)
+            beam_search(*batch, store, cfg, beam_size=5)
+        assert min(steps) < cfg.max_decode_len
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_all_tied_logits_pick_the_lowest_token_ids(self, alpha):
+        cfg = small_cfg(max_decode_len=4, length_norm_alpha=alpha)
+        store = make_store(cfg)
+        for name, t in store.items():
+            t.data = np.zeros_like(t.data)
+        batch = one(random_nodes(2), Tensor(np.zeros(NODE_DIM)))
+        for width in (1, 2, 3, 5):
+            got = beam_search(*batch, store, cfg, beam_size=width)
+            assert got == reference_beam_search(*batch, store, cfg, beam_size=width)
+            # Below EOS's id only PAD and BOS tie with it; PAD wins every
+            # step, and once EOS is in the beam the empty output ties and
+            # was found first.
+            assert got == ([0] * cfg.max_decode_len if width <= EOS else [])

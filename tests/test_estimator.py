@@ -102,6 +102,11 @@ class TestFitPredict:
         assert hasattr(est, "metrics_")
         assert est.metrics_[0].dev_bleu is not None
 
+    @pytest.mark.parametrize("alpha", [-0.5, float("nan"), float("inf")])
+    def test_fit_rejects_bad_length_norm_alpha(self, alpha):
+        with pytest.raises(ValueError, match="length_norm_alpha"):
+            small_estimator(length_norm_alpha=alpha).fit(SQLS, TEXTS)
+
 
 class TestTemplateInterpreter:
     def test_predict_matches_rule_mapping(self):

@@ -135,6 +135,43 @@ class TestAdam:
         adam_step(store, AdamState())
         assert store["q"].data[0] == 2.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_update_is_bitwise_the_textbook_formula(self, dtype):
+        def textbook(params, grads, m, v, t, lr=0.01, b1=0.9, b2=0.999, eps=1e-8):
+            # Adam with a new array per term: the in-place update must match it bit for bit.
+            for name, p in params.items():
+                g = grads.get(name, np.zeros_like(p))
+                m[name] = b1 * m.get(name, np.zeros_like(p)) + (1.0 - b1) * g
+                v[name] = b2 * v.get(name, np.zeros_like(p)) + (1.0 - b2) * g * g
+                m_hat = m[name] / (1.0 - b1**t)
+                v_hat = v[name] / (1.0 - b2**t)
+                params[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+        rng = np.random.default_rng(4)
+        shapes = {"w": (3, 4), "b": (4,), "idle": (2, 2)}
+        params = {name: rng.normal(size=shape).astype(dtype) for name, shape in shapes.items()}
+        with ad.default_dtype(dtype):
+            store = store_with({name: p.copy() for name, p in params.items()})
+        state = AdamState(lr=0.01)
+        m, v = {}, {}
+        for t in range(1, 6):
+            # "idle" never has a gradient; "b" has none at steps 2 and 4.
+            grads = {"w": rng.normal(size=(3, 4)).astype(dtype)}
+            if t % 2:
+                grads["b"] = rng.normal(size=4).astype(dtype)
+            for name, g in grads.items():
+                store[name].grad = g.copy()
+            adam_step(store, state)
+            textbook(params, grads, m, v, t)
+            for name, p in params.items():
+                assert store[name].data.dtype == dtype
+                assert store[name].data.tobytes() == p.tobytes(), (t, name)
+            for name in ("w", "b"):
+                assert state.m[name].tobytes() == m[name].tobytes(), (t, name)
+                assert state.v[name].tobytes() == v[name].tobytes(), (t, name)
+            # No moments are allocated for a parameter that never had a gradient.
+            assert "idle" not in state.m and "idle" not in state.v
+
 
 class TestFiniteDifferenceCheck:
     def test_quadratic_is_nearly_exact(self, f64):

@@ -165,6 +165,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             restore_model(tampered)
 
+    def test_negative_length_norm_alpha_rejected(self):
+        ckpt = train(small_config(epochs=1), toy_pairs()).checkpoint
+        tampered = ModelCheckpoint(
+            config={**ckpt.config, "length_norm_alpha": -1.0},
+            src_tokens=ckpt.src_tokens,
+            tgt_tokens=ckpt.tgt_tokens,
+            arrays=ckpt.arrays,
+        )
+        with pytest.raises(CheckpointError, match="length_norm_alpha"):
+            restore_model(tampered)
+
     def test_corrupt_file_detected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint")

@@ -17,6 +17,7 @@ from .checkpoint import (
     restore_model,
     save_checkpoint,
 )
+from .config import TrainConfig
 from .data import (
     ExamplePair,
     Vocabulary,
@@ -25,8 +26,6 @@ from .data import (
     load_pretrained_vectors,
     tokenize_text,
 )
-from .decoder import DecoderConfig
-from .encoder import EncoderConfig
 from .estimator import SqlToTextGenerator, TemplateInterpreter
 from .evaluation import EvalReport, bleu4_corpus, evaluate_model
 from .graphs import (
@@ -38,7 +37,7 @@ from .graphs import (
     to_undirected,
     tree_repr,
 )
-from .model import GraphToSequenceModel, ModelConfig
+from .model import GraphToSequenceModel
 from .optim import (
     AdamState,
     ParameterStore,
@@ -57,7 +56,7 @@ from .parser import (
     parse,
     render,
 )
-from .training import TrainConfig, TrainingDivergedError, train
+from .training import TrainingDivergedError, train
 
 __all__ = [
     "__version__",
@@ -74,8 +73,6 @@ __all__ = [
     "ingest_dataset",
     "load_pretrained_vectors",
     "tokenize_text",
-    "DecoderConfig",
-    "EncoderConfig",
     "SqlToTextGenerator",
     "TemplateInterpreter",
     "EvalReport",
@@ -89,7 +86,6 @@ __all__ = [
     "to_undirected",
     "tree_repr",
     "GraphToSequenceModel",
-    "ModelConfig",
     "AdamState",
     "ParameterStore",
     "adam_step",

@@ -341,9 +341,9 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     if not parts:
         raise AutodiffError("concat of an empty sequence")
     out = np.concatenate([p.data for p in parts], axis=axis)
-    bounds = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
 
     def backward(g):
+        bounds = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
         for p, gp in zip(parts, np.split(g, bounds, axis=axis)):
             _accumulate(p, gp)
 

@@ -3,16 +3,16 @@ parameter arrays in one file that round-trips bitwise."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from .config import TrainConfig
 from .data import Vocabulary
-from .model import GraphToSequenceModel, ModelConfig
+from .model import GraphToSequenceModel
 
 MAGIC = b"SQL2TEXT-CKPT/1\n"
 
@@ -31,7 +31,7 @@ class ModelCheckpoint:
     @classmethod
     def from_model(cls, model: GraphToSequenceModel) -> "ModelCheckpoint":
         return cls(
-            config=model.config_dict(),
+            config=asdict(model.config),
             src_tokens=list(model.src_vocab.tokens),
             tgt_tokens=list(model.tgt_vocab.tokens),
             arrays=model.store.state_arrays(),
@@ -145,12 +145,12 @@ def restore_model(ckpt: ModelCheckpoint) -> GraphToSequenceModel:
     """Rebuild a model from a checkpoint; parameter shapes derived from the
     stored config must match the stored arrays exactly.
 
-    The stored config may carry training-only keys; only the model's own
-    fields are consumed here.
+    Keys the stored config lacks take their defaults, so configs that
+    hold only the model's fields still load; unknown keys are ignored.
     """
-    names = {f.name for f in dataclasses.fields(ModelConfig)}
+    names = {f.name for f in fields(TrainConfig)}
     try:
-        config = ModelConfig(**{k: v for k, v in ckpt.config.items() if k in names})
+        config = TrainConfig(**{k: v for k, v in ckpt.config.items() if k in names})
         model = GraphToSequenceModel(
             Vocabulary(list(ckpt.src_tokens)),
             Vocabulary(list(ckpt.tgt_tokens)),

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +25,14 @@ from .checkpoint import (
     restore_model,
     save_checkpoint,
 )
+from .config import TrainConfig
 from .data import ExamplePair, build_vocab, ingest_dataset, tokenize_text
 from .evaluation import evaluate_model, write_report
 from .graphs import build_graph, template_interpret, to_dot, to_json_dict, to_undirected
 from .model import GraphToSequenceModel
 from .optim import finite_difference_check, randomize_parameters
 from .parser import BoolOp, Condition, SqlParseError, SqlQuery, parse
-from .training import TrainConfig, TrainingDivergedError, train, write_metrics_csv
+from .training import TrainingDivergedError, train, write_metrics_csv
 
 CONFIG_ENV_VAR = "SQL2TEXT_CONFIG"
 
@@ -222,9 +223,9 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     tolerances = {"float32": 1e-3, "float64": 1e-6}
     status = 0
     for precision in precisions:
-        model_config = config.model_config()
-        model_config.precision = precision
-        model = GraphToSequenceModel(src_vocab, tgt_vocab, model_config, seed=config.seed)
+        model = GraphToSequenceModel(
+            src_vocab, tgt_vocab, replace(config, precision=precision), seed=config.seed
+        )
         randomize_parameters(model.store, np.random.default_rng(config.seed + 1))
         graph = model.prepare(sql)
 

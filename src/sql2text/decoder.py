@@ -12,38 +12,16 @@ a mask over the padding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import TrainConfig
 from .data import BOS, EOS
 from .nn import create_linear, create_lstm, linear, lstm_step
 from .optim import ParameterStore
-
-
-@dataclass
-class DecoderConfig:
-    hidden_size: int = 300
-    word_dim: int = 300
-    node_dim: int = 600  # 2d: concatenated forward/backward node embedding
-    max_decode_len: int = 60
-    beam_size: int = 5
-    length_norm_alpha: float = 0.0
-    dropout: float = 0.5
-    attention: str = "additive"  # "additive" | "dot"
-
-    def __post_init__(self):
-        if self.beam_size < 1:
-            raise ValueError("beam_size must be >= 1")
-        if self.max_decode_len < 1:
-            raise ValueError("max_decode_len must be >= 1")
-        if self.attention not in ("additive", "dot"):
-            raise ValueError(f"unknown attention {self.attention!r}")
-        if not 0.0 <= self.length_norm_alpha < math.inf:
-            raise ValueError("length_norm_alpha must be finite and >= 0")
 
 
 @dataclass
@@ -52,7 +30,7 @@ class DecoderState:
 
     h: Tensor  # (n, hidden)
     c: Tensor  # (n, hidden)
-    context: Tensor  # (n, node_dim) attention context
+    context: Tensor  # (n, 2 * hidden) attention context
     prev: np.ndarray  # (n,) token ids fed to the next step
 
 
@@ -61,15 +39,15 @@ class Memory:
     """What the decoder attends over, row-aligned with the sequences: a
     state of n rows attends over the first n rows."""
 
-    nodes: Tensor  # (rows, Nmax, node_dim) node embeddings, padded
+    nodes: Tensor  # (rows, Nmax, 2 * hidden) node embeddings, padded
     mask: np.ndarray  # (rows, Nmax), True at real nodes
     proj: Tensor | None  # (rows, Nmax, hidden) node-side additive projection
 
 
 def build_decoder_params(
-    store: ParameterStore, tgt_vocab_size: int, cfg: DecoderConfig, rng: np.random.Generator
+    store: ParameterStore, tgt_vocab_size: int, cfg: TrainConfig, rng: np.random.Generator
 ) -> None:
-    h, nd = cfg.hidden_size, cfg.node_dim
+    h, nd = cfg.hidden, 2 * cfg.hidden
     store.create("tgt_embed", (tgt_vocab_size, cfg.word_dim), rng)
     create_linear(store, "dec_init_h", nd, h, rng)
     create_linear(store, "dec_init_c", nd, h, rng)
@@ -85,7 +63,7 @@ def build_decoder_params(
 
 
 def attention_memory(
-    nodes: Tensor, mask: np.ndarray, store: ParameterStore, cfg: DecoderConfig
+    nodes: Tensor, mask: np.ndarray, store: ParameterStore, cfg: TrainConfig
 ) -> Memory:
     """Memory over padded node embeddings, with the node-side projection
     of additive attention computed once for every step."""
@@ -94,10 +72,10 @@ def attention_memory(
 
 
 def attention_context(
-    s: Tensor, memory: Memory, store: ParameterStore, cfg: DecoderConfig
+    s: Tensor, memory: Memory, store: ParameterStore, cfg: TrainConfig
 ) -> tuple[Tensor, Tensor]:
     """(context, attention weights) for the (n, hidden) decoder states s:
-    (n, node_dim) and (n, Nmax), with weight 0 on padding."""
+    (n, 2 * hidden) and (n, Nmax), with weight 0 on padding."""
     n = s.data.shape[0]
     nodes = ad.slice_rows(memory.nodes, 0, n)
     if cfg.attention == "additive":
@@ -111,12 +89,12 @@ def attention_context(
 
 
 def init_state(
-    graph_emb: Tensor, memory: Memory, store: ParameterStore, cfg: DecoderConfig
+    graph_emb: Tensor, memory: Memory, store: ParameterStore, cfg: TrainConfig
 ) -> DecoderState:
-    """Initial state projected from the (n, node_dim) graph embeddings."""
-    if graph_emb.data.ndim != 2 or graph_emb.data.shape[1] != cfg.node_dim:
+    """Initial state projected from the (n, 2 * hidden) graph embeddings."""
+    if graph_emb.data.ndim != 2 or graph_emb.data.shape[1] != 2 * cfg.hidden:
         raise ValueError(
-            f"graph embedding shape {graph_emb.data.shape} does not match node_dim {cfg.node_dim}"
+            f"graph embedding shape {graph_emb.data.shape} does not match 2 * hidden"
         )
     h0 = ad.tanh(linear(store, "dec_init_h", graph_emb))
     c0 = ad.tanh(linear(store, "dec_init_c", graph_emb))
@@ -125,7 +103,7 @@ def init_state(
 
 
 def decoder_step(
-    state: DecoderState, memory: Memory, store: ParameterStore, cfg: DecoderConfig
+    state: DecoderState, memory: Memory, store: ParameterStore, cfg: TrainConfig
 ) -> DecoderState:
     """Feed ``state.prev`` to the first len(prev) rows, which go on; the
     others are dropped.  The returned state keeps ``prev`` for the caller
@@ -152,7 +130,7 @@ def sequence_loss(
     graph_emb: Tensor,
     targets: list[list[int]],
     store: ParameterStore,
-    cfg: DecoderConfig,
+    cfg: TrainConfig,
     train: bool = True,
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, int]:
@@ -206,7 +184,7 @@ def greedy_decode(
     mask: np.ndarray,
     graph_emb: Tensor,
     store: ParameterStore,
-    cfg: DecoderConfig,
+    cfg: TrainConfig,
 ) -> list[int]:
     """Argmax decoding of one example (a batch of 1) until EOS or the
     length cap; returns token ids without BOS/EOS."""
@@ -229,7 +207,7 @@ def beam_search(
     mask: np.ndarray,
     graph_emb: Tensor,
     store: ParameterStore,
-    cfg: DecoderConfig,
+    cfg: TrainConfig,
     beam_size: int | None = None,
 ) -> list[int]:
     """Beam decoding of one example (a batch of 1); returns token ids

@@ -21,40 +21,23 @@ segment maxima (or row picks) per graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import TrainConfig
 from .data import Vocabulary
 from .graphs import QueryGraph, add_super_node, disjoint_union
 from .nn import create_linear, create_lstm, linear, lstm_step
 from .optim import ParameterStore
 
 
-@dataclass
-class EncoderConfig:
-    hop_size: int = 6
-    hidden_dim: int = 300
-    word_dim: int = 300
-    share_direction_weights: bool = False
-    ge_method: str = "pooling"  # "pooling" | "supernode"
-
-    def __post_init__(self):
-        if self.hop_size < 0:
-            raise ValueError("hop_size must be >= 0")
-        if self.hidden_dim < 1 or self.word_dim < 1:
-            raise ValueError("dimensions must be >= 1")
-        if self.ge_method not in ("pooling", "supernode"):
-            raise ValueError(f"unknown ge_method {self.ge_method!r}")
-
-
 def build_encoder_params(
-    store: ParameterStore, src_vocab_size: int, cfg: EncoderConfig, rng: np.random.Generator
+    store: ParameterStore, src_vocab_size: int, cfg: TrainConfig, rng: np.random.Generator
 ) -> None:
-    d = cfg.hidden_dim
+    d = cfg.hidden
     store.create("src_embed", (src_vocab_size, cfg.word_dim), rng)
     create_lstm(store, "node_lstm", cfg.word_dim, d, rng)
     for k in range(1, cfg.hop_size + 1):
@@ -81,7 +64,7 @@ def padded_index(groups: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarra
 
 
 def init_node_features(
-    graph: QueryGraph, vocab: Vocabulary, store: ParameterStore, cfg: EncoderConfig
+    graph: QueryGraph, vocab: Vocabulary, store: ParameterStore, cfg: TrainConfig
 ) -> Tensor:
     """(N, d) initial features: per node, the final hidden state of the
     shared recurrent encoder run over the node's token embeddings.  It runs
@@ -90,7 +73,7 @@ def init_node_features(
     texts = sorted(dict.fromkeys(node.text for node in graph.nodes), key=len, reverse=True)
     lengths = np.array([len(text) for text in texts])
     embed = store["src_embed"]
-    h = c = ad.zeros((len(texts), cfg.hidden_dim))
+    h = c = ad.zeros((len(texts), cfg.hidden))
     finished: list[Tensor] = []
     for step in range(lengths[0]):
         n = int(np.count_nonzero(lengths > step))
@@ -114,14 +97,14 @@ def aggregate_direction(
     return ad.segment_max(transformed, *neighbors)
 
 
-def _out_prefix(cfg: EncoderConfig, hop: int, direction: str) -> str:
+def _out_prefix(cfg: TrainConfig, hop: int, direction: str) -> str:
     if cfg.share_direction_weights:
         return f"hop{hop}.out"
     return f"hop{hop}.{direction}.out"
 
 
 def propagate(
-    graph: QueryGraph, feats: Tensor, store: ParameterStore, cfg: EncoderConfig
+    graph: QueryGraph, feats: Tensor, store: ParameterStore, cfg: TrainConfig
 ) -> Tensor:
     """Run K rounds of bidirectional neighbor aggregation from the (N, d)
     initial features; returns the (N, 2d) final node embeddings, forward
@@ -144,7 +127,7 @@ def graph_embedding_pooling(node_matrix: Tensor, segments: tuple, store: Paramet
 
 
 def encode(
-    graphs: list[QueryGraph], vocab: Vocabulary, store: ParameterStore, cfg: EncoderConfig
+    graphs: list[QueryGraph], vocab: Vocabulary, store: ParameterStore, cfg: TrainConfig
 ) -> tuple[Tensor, np.ndarray, Tensor]:
     """Encode a batch of graphs as one disjoint union: node embeddings
     padded to (B, Nmax, 2d), the (B, Nmax) mask of real nodes, and (B, 2d)

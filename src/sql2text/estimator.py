@@ -1,17 +1,18 @@
 """Estimator-style front end so the pipeline composes with fit/predict
-tooling: hyperparameters in __init__, get_params/set_params, fitted state
-on trailing-underscore attributes."""
+tooling: hyperparameters as keyword arguments, get_params/set_params,
+fitted state on trailing-underscore attributes."""
 
 from __future__ import annotations
 
-import inspect
+from dataclasses import fields
 
 from .checkpoint import load_checkpoint, restore_model, save_checkpoint
+from .config import TrainConfig
 from .data import ExamplePair, tokenize_text
 from .evaluation import bleu4_corpus
 from .graphs import template_interpret
 from .parser import SqlParseError, parse
-from .training import TrainConfig, train
+from .training import train
 
 
 def check_sql_list(X) -> list[str]:
@@ -44,21 +45,20 @@ def check_paired_text(X, y) -> tuple[list[str], list[str]]:
 
 
 class _ParamsMixin:
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [n for n in sig.parameters if n != "self"]
+    """get_params/set_params/repr over the hyperparameter names in
+    ``_defaults``, each stored as an attribute of the same name."""
+
+    _defaults: dict = {}
 
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {name: getattr(self, name) for name in self._defaults}
 
     def set_params(self, **params):
-        valid = set(self._param_names())
         for name, value in params.items():
-            if name not in valid:
+            if name not in self._defaults:
                 raise ValueError(
                     f"invalid parameter {name!r} for {type(self).__name__}; "
-                    f"valid parameters: {sorted(valid)}"
+                    f"valid parameters: {sorted(self._defaults)}"
                 )
             setattr(self, name, value)
         return self
@@ -71,61 +71,26 @@ class _ParamsMixin:
 class SqlToTextGenerator(_ParamsMixin):
     """Trainable SQL-to-text generator.
 
-    Parameters mirror the training configuration: graph-encoder sizes
-    (word_dim, hidden, hop_size), the graph-embedding method
-    ("pooling" or "supernode"), optimizer settings and decoding options.
+    Its parameters are the fields of :class:`TrainConfig`, with the same
+    names and defaults: graph-encoder sizes (word_dim, hidden, hop_size),
+    the graph-embedding method ("pooling" or "supernode"), optimizer
+    settings and decoding options.  They are validated by ``fit``.
 
     After ``fit(X, y)`` the trained model lives on ``model_`` and
     ``checkpoint_``; ``predict`` returns one generated interpretation per
     query and ``score`` is corpus BLEU-4 in [0, 1].
     """
 
-    def __init__(
-        self,
-        word_dim: int = 300,
-        hidden: int = 300,
-        hop_size: int = 6,
-        ge_method: str = "pooling",
-        share_direction_weights: bool = False,
-        undirected: bool = False,
-        attention: str = "additive",
-        lr: float = 0.001,
-        batch_size: int = 30,
-        dropout: float = 0.5,
-        clip_norm: float = 20.0,
-        epochs: int = 20,
-        patience: int = 5,
-        min_freq: int = 1,
-        seed: int = 0,
-        beam_size: int = 5,
-        max_decode_len: int = 60,
-        length_norm_alpha: float = 0.0,
-        precision: str = "float32",
-        pretrained_vectors: str | None = None,
-    ):
-        self.word_dim = word_dim
-        self.hidden = hidden
-        self.hop_size = hop_size
-        self.ge_method = ge_method
-        self.share_direction_weights = share_direction_weights
-        self.undirected = undirected
-        self.attention = attention
-        self.lr = lr
-        self.batch_size = batch_size
-        self.dropout = dropout
-        self.clip_norm = clip_norm
-        self.epochs = epochs
-        self.patience = patience
-        self.min_freq = min_freq
-        self.seed = seed
-        self.beam_size = beam_size
-        self.max_decode_len = max_decode_len
-        self.length_norm_alpha = length_norm_alpha
-        self.precision = precision
-        self.pretrained_vectors = pretrained_vectors
+    _defaults = {f.name: f.default for f in fields(TrainConfig)}
 
-    def _train_config(self) -> TrainConfig:
-        return TrainConfig(**self.get_params())
+    def __init__(self, **params):
+        for name in params:
+            if name not in self._defaults:
+                raise TypeError(
+                    f"{type(self).__name__}() got an unexpected keyword argument {name!r}"
+                )
+        for name, default in self._defaults.items():
+            setattr(self, name, params.get(name, default))
 
     def fit(self, X, y, dev_X=None, dev_y=None) -> "SqlToTextGenerator":
         X, y = check_paired_text(X, y)
@@ -134,7 +99,7 @@ class SqlToTextGenerator(_ParamsMixin):
         if dev_X is not None and dev_y is not None:
             dev_X, dev_y = check_paired_text(dev_X, dev_y)
             dev_pairs = [ExamplePair(s, tokenize_text(t)) for s, t in zip(dev_X, dev_y)]
-        result = train(self._train_config(), pairs, dev_pairs)
+        result = train(TrainConfig(**self.get_params()), pairs, dev_pairs)
         self.model_ = result.model
         self.checkpoint_ = result.checkpoint
         self.metrics_ = result.metrics
@@ -163,8 +128,7 @@ class SqlToTextGenerator(_ParamsMixin):
     @classmethod
     def from_checkpoint(cls, path) -> "SqlToTextGenerator":
         ckpt = load_checkpoint(path)
-        known = set(cls._param_names())
-        est = cls(**{k: v for k, v in ckpt.config.items() if k in known})
+        est = cls(**{k: v for k, v in ckpt.config.items() if k in cls._defaults})
         est.model_ = restore_model(ckpt)
         est.checkpoint_ = ckpt
         est.metrics_ = []
@@ -173,9 +137,6 @@ class SqlToTextGenerator(_ParamsMixin):
 
 class TemplateInterpreter(_ParamsMixin):
     """Rule-based baseline with the same predict surface; fit is a no-op."""
-
-    def __init__(self):
-        pass
 
     def fit(self, X=None, y=None) -> "TemplateInterpreter":
         return self

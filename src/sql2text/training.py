@@ -6,56 +6,20 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .checkpoint import ModelCheckpoint
+from .config import TrainConfig
 from .data import ExamplePair, build_vocab, load_pretrained_vectors
 from .evaluation import bleu4_corpus
-from .model import GraphToSequenceModel, ModelConfig
+from .model import GraphToSequenceModel
 from .optim import AdamState, adam_step, clip_engages, clip_gradients
 
 
 class TrainingDivergedError(RuntimeError):
     pass
-
-
-@dataclass
-class TrainConfig:
-    lr: float = 0.001
-    batch_size: int = 30
-    dropout: float = 0.5
-    clip_norm: float = 20.0
-    word_dim: int = 300
-    hidden: int = 300
-    hop_size: int = 6
-    epochs: int = 20
-    patience: int = 5
-    seed: int = 0
-    min_freq: int = 1
-    ge_method: str = "pooling"
-    share_direction_weights: bool = False
-    undirected: bool = False
-    attention: str = "additive"
-    beam_size: int = 5
-    max_decode_len: int = 60
-    length_norm_alpha: float = 0.0
-    precision: str = "float32"
-    pretrained_vectors: str | None = None
-
-    def __post_init__(self):
-        for name in ("lr", "batch_size", "word_dim", "hidden", "epochs", "clip_norm"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.hop_size < 0:
-            raise ValueError("hop_size must be >= 0")
-        if not 0.0 <= self.length_norm_alpha < math.inf:
-            raise ValueError("length_norm_alpha must be finite and >= 0")
-
-    def model_config(self) -> ModelConfig:
-        names = {f.name for f in fields(ModelConfig)}
-        return ModelConfig(**{k: v for k, v in asdict(self).items() if k in names})
 
 
 @dataclass
@@ -113,9 +77,7 @@ def train(
 
     src_vocab, tgt_vocab = build_vocab(train_pairs, min_freq=config.min_freq)
     seeds = np.random.SeedSequence(config.seed).spawn(3)
-    model = GraphToSequenceModel(
-        src_vocab, tgt_vocab, config.model_config(), seed=config.seed
-    )
+    model = GraphToSequenceModel(src_vocab, tgt_vocab, config, seed=config.seed)
     coverage = None
     if config.pretrained_vectors:
         coverage = load_pretrained_vectors(
@@ -186,14 +148,8 @@ def train(
 
     if best_arrays is not None:
         model.store.load_arrays(best_arrays)
-    checkpoint = ModelCheckpoint(
-        config=asdict(config),
-        src_tokens=list(src_vocab.tokens),
-        tgt_tokens=list(tgt_vocab.tokens),
-        arrays=model.store.state_arrays(),
-    )
     return TrainResult(
-        checkpoint=checkpoint,
+        checkpoint=ModelCheckpoint.from_model(model),
         model=model,
         metrics=metrics,
         batch_logs=batch_logs,

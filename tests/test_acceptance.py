@@ -17,10 +17,10 @@ from sql2text.decoder import (
     init_state,
     next_token_logits,
 )
-from sql2text.encoder import EncoderConfig, build_encoder_params, init_node_features, propagate
+from sql2text.encoder import build_encoder_params, init_node_features, propagate
 from sql2text.evaluation import bleu4_corpus, evaluate_model
 from sql2text.graphs import GraphNode, QueryGraph, build_graph, template_interpret, to_undirected
-from sql2text.model import GraphToSequenceModel, ModelConfig
+from sql2text.model import GraphToSequenceModel
 from sql2text.optim import ParameterStore, finite_difference_check, randomize_parameters
 from sql2text.parser import parse
 from sql2text.training import TrainConfig, train
@@ -76,7 +76,7 @@ def _gradcheck_fixture(precision: str):
     sql = "SELECT a, b"  # select + two column nodes: a 3-node graph
     target = tokenize_text("which a b")
     src, tgt = build_vocab([ExamplePair(sql, target)])
-    config = ModelConfig(
+    config = TrainConfig(
         word_dim=6, hidden=6, hop_size=2, dropout=0.0, precision=precision
     )
     model = GraphToSequenceModel(src, tgt, config, seed=0)
@@ -111,7 +111,7 @@ def test_criterion_04_propagation_hand_oracle():
     start = time.perf_counter()
 
     # Two-node fixture u -> v with fold-and-add weights; frozen hand values.
-    cfg = EncoderConfig(hop_size=1, hidden_dim=2, word_dim=2)
+    cfg = TrainConfig(hop_size=1, hidden=2, word_dim=2)
     store = ParameterStore()
     build_encoder_params(store, 8, cfg, np.random.default_rng(0))
     fold = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
@@ -131,7 +131,7 @@ def test_criterion_04_propagation_hand_oracle():
 
     # Three-node fixture vs an independent plain-numpy transcription.
     with default_dtype(np.float64):
-        cfg3 = EncoderConfig(hop_size=2, hidden_dim=3, word_dim=3)
+        cfg3 = TrainConfig(hop_size=2, hidden=3, word_dim=3)
         store3 = ParameterStore()
         build_encoder_params(store3, 8, cfg3, np.random.default_rng(3))
         randomize_parameters(store3, np.random.default_rng(4))
@@ -161,7 +161,7 @@ def _oracle_propagate(feats, edges, store, cfg):
 
     def agg(vectors, w, b):
         if not vectors:
-            return np.zeros(cfg.hidden_dim)
+            return np.zeros(cfg.hidden)
         return np.maximum(np.stack(vectors) @ w + b, 0.0).max(axis=0)
 
     for k in range(1, cfg.hop_size + 1):
@@ -180,7 +180,7 @@ def _oracle_propagate(feats, edges, store, cfg):
 
 
 def test_criterion_05_permutation_invariance():
-    cfg = EncoderConfig(hop_size=3, hidden_dim=4, word_dim=4)
+    cfg = TrainConfig(hop_size=3, hidden=4, word_dim=4)
     store = ParameterStore()
     build_encoder_params(store, 8, cfg, np.random.default_rng(6))
     randomize_parameters(store, np.random.default_rng(7))
@@ -198,7 +198,7 @@ def test_criterion_05_permutation_invariance():
 
 
 def test_criterion_06_hop_locality():
-    cfg = EncoderConfig(hop_size=2, hidden_dim=4, word_dim=4)
+    cfg = TrainConfig(hop_size=2, hidden=4, word_dim=4)
     store = ParameterStore()
     build_encoder_params(store, 16, cfg, np.random.default_rng(10))
     randomize_parameters(store, np.random.default_rng(11))
@@ -224,7 +224,7 @@ def test_criterion_06_hop_locality():
 def test_criterion_07_decoder_equivalences():
     target = tokenize_text(GOLDEN_SENTENCE)
     src, tgt = build_vocab([ExamplePair(GOLDEN_QUERY, target)])
-    config = ModelConfig(word_dim=6, hidden=6, hop_size=1, dropout=0.0, max_decode_len=12)
+    config = TrainConfig(word_dim=6, hidden=6, hop_size=1, dropout=0.0, max_decode_len=12)
     model = GraphToSequenceModel(src, tgt, config, seed=0)
     graph = model.prepare(GOLDEN_QUERY)
     for seed in range(50):
@@ -236,14 +236,13 @@ def test_criterion_07_decoder_equivalences():
     # Attention weights along a decode rollout sum to 1 at every step.
     randomize_parameters(model.store, np.random.default_rng(123))
     nodes, mask, graph_emb = model.encode_graphs([graph])
-    dec_cfg = config.decoder_config()
-    memory = attention_memory(nodes, mask, model.store, dec_cfg)
-    state = init_state(graph_emb, memory, model.store, dec_cfg)
+    memory = attention_memory(nodes, mask, model.store, config)
+    state = init_state(graph_emb, memory, model.store, config)
     for _ in range(10):
-        _, weights = attention_context(state.h, memory, model.store, dec_cfg)
+        _, weights = attention_context(state.h, memory, model.store, config)
         assert (weights.data >= 0).all()
         assert abs(float(weights.data.sum()) - 1.0) < 1e-6
-        state = decoder_step(state, memory, model.store, dec_cfg)
+        state = decoder_step(state, memory, model.store, config)
         state.prev = np.argmax(next_token_logits(state, model.store).data, axis=1)
     announce("7", "beam-1 equals greedy on 50 probes; attention weights sum to 1 at every step")
 
@@ -323,7 +322,7 @@ def test_criterion_10_ablation_levers():
     src, tgt = build_vocab([ExamplePair(GOLDEN_QUERY, target)])
 
     directed_model = GraphToSequenceModel(
-        src, tgt, ModelConfig(word_dim=6, hidden=6, hop_size=2, dropout=0.0), seed=0
+        src, tgt, TrainConfig(word_dim=6, hidden=6, hop_size=2, dropout=0.0), seed=0
     )
     randomize_parameters(directed_model.store, np.random.default_rng(21))
     graph = build_graph(parse(GOLDEN_QUERY))
@@ -333,7 +332,7 @@ def test_criterion_10_ablation_levers():
 
     supernode_model = GraphToSequenceModel(
         src, tgt,
-        ModelConfig(word_dim=6, hidden=6, hop_size=2, dropout=0.0, ge_method="supernode"),
+        TrainConfig(word_dim=6, hidden=6, hop_size=2, dropout=0.0, ge_method="supernode"),
         seed=0,
     )
     randomize_parameters(supernode_model.store, np.random.default_rng(21))

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from sql2text.autodiff import default_dtype
+from sql2text.config import TrainConfig
 from sql2text.data import ExamplePair, build_vocab, tokenize_text
 from sql2text.graphs import template_interpret
-from sql2text.model import GraphToSequenceModel, ModelConfig
+from sql2text.model import GraphToSequenceModel
 from sql2text.optim import randomize_parameters
 from sql2text.parser import parse
 
@@ -39,7 +40,7 @@ def f64():
 def make_model(dropout=0.0, **overrides):
     pairs = [ExamplePair(s, tokenize_text(template_interpret(parse(s)))) for s in SQLS]
     src, tgt = build_vocab(pairs)
-    config = ModelConfig(
+    config = TrainConfig(
         word_dim=5, hidden=4, hop_size=2, dropout=dropout, precision="float64", **overrides
     )
     model = GraphToSequenceModel(src, tgt, config, seed=0)

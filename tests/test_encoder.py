@@ -3,8 +3,8 @@ import numpy as np
 from sql2text import autodiff as ad
 from sql2text.autodiff import Tensor, default_dtype
 from sql2text.data import SPECIAL_TOKENS, Vocabulary
+from sql2text.config import TrainConfig
 from sql2text.encoder import (
-    EncoderConfig,
     aggregate_direction,
     build_encoder_params,
     encode,
@@ -26,7 +26,7 @@ def make_graph(n_nodes, edges, texts=None):
     )
 
 
-def hop_store(cfg: EncoderConfig, seed=0) -> ParameterStore:
+def hop_store(cfg: TrainConfig, seed=0) -> ParameterStore:
     store = ParameterStore()
     build_encoder_params(store, 16, cfg, np.random.default_rng(seed))
     return store
@@ -54,7 +54,7 @@ def oracle_propagate(feats, edges, store, cfg):
 
     def agg(vectors, w, b):
         if not vectors:
-            return np.zeros(cfg.hidden_dim)
+            return np.zeros(cfg.hidden)
         transformed = np.maximum(np.stack(vectors) @ w + b, 0.0)
         return transformed.max(axis=0)
 
@@ -81,7 +81,7 @@ class TestTwoNodeHandFixture:
     """u -> v, K=1, d=2, identity-style weights; values derived by hand."""
 
     def setup_method(self):
-        self.cfg = EncoderConfig(hop_size=1, hidden_dim=2, word_dim=2)
+        self.cfg = TrainConfig(hop_size=1, hidden=2, word_dim=2)
         self.store = hop_store(self.cfg)
         eye = np.eye(2)
         fold = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -106,7 +106,7 @@ class TestTwoNodeHandFixture:
 
     def test_base_case_is_initial_features(self):
         # Hop 0 is the initial feature vector for both directions.
-        cfg0 = EncoderConfig(hop_size=0, hidden_dim=2, word_dim=2)
+        cfg0 = TrainConfig(hop_size=0, hidden=2, word_dim=2)
         final = propagate(self.graph, self.feats, self.store, cfg0).data
         for v in range(2):
             assert np.array_equal(final[v, :2], self.feats.data[v])
@@ -115,7 +115,7 @@ class TestTwoNodeHandFixture:
 
 class TestPropagate:
     def test_k0_concatenates_features_and_ignores_edges(self):
-        cfg = EncoderConfig(hop_size=0, hidden_dim=3, word_dim=3)
+        cfg = TrainConfig(hop_size=0, hidden=3, word_dim=3)
         store = hop_store(cfg)
         feats = Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         final = propagate(make_graph(2, [(0, 1)]), feats, store, cfg)
@@ -127,7 +127,7 @@ class TestPropagate:
 
     def test_three_node_matches_oracle(self):
         with default_dtype(np.float64):
-            cfg = EncoderConfig(hop_size=2, hidden_dim=3, word_dim=3)
+            cfg = TrainConfig(hop_size=2, hidden=3, word_dim=3)
             store = hop_store(cfg, seed=5)
             randomize_parameters(store, np.random.default_rng(9))
             edges = [(0, 1), (1, 2), (0, 2)]
@@ -140,8 +140,8 @@ class TestPropagate:
 
     def test_shared_direction_weights_mode(self):
         with default_dtype(np.float64):
-            cfg = EncoderConfig(
-                hop_size=2, hidden_dim=3, word_dim=3, share_direction_weights=True
+            cfg = TrainConfig(
+                hop_size=2, hidden=3, word_dim=3, share_direction_weights=True
             )
             store = hop_store(cfg, seed=5)
             randomize_parameters(store, np.random.default_rng(9))
@@ -155,7 +155,7 @@ class TestPropagate:
                 assert np.allclose(final.data[v], expected[v], atol=1e-6)
 
     def test_isolated_node_uses_zero_neighborhoods(self):
-        cfg = EncoderConfig(hop_size=2, hidden_dim=3, word_dim=3)
+        cfg = TrainConfig(hop_size=2, hidden=3, word_dim=3)
         store = hop_store(cfg, seed=2)
         feats = np.array([[0.5, -0.5, 1.0], [1.0, 1.0, 1.0], [0.1, 0.2, 0.3]])
         final = propagate(make_graph(3, [(1, 2)]), Tensor(feats), store, cfg)
@@ -163,7 +163,7 @@ class TestPropagate:
         assert np.array_equal(final.data[0], alone.data[0])
 
     def test_permutation_of_adjacency_storage_is_exact(self):
-        cfg = EncoderConfig(hop_size=3, hidden_dim=4, word_dim=4)
+        cfg = TrainConfig(hop_size=3, hidden=4, word_dim=4)
         store = hop_store(cfg, seed=7)
         graph = build_graph(parse(
             "SELECT company WHERE assets > val0 AND sales > val0 AND industry <= val1 AND profits = val2"
@@ -181,7 +181,7 @@ class TestPropagate:
                 assert np.array_equal(base.data[v], out.data[v])
 
     def test_hop_locality_on_path_graph(self):
-        cfg = EncoderConfig(hop_size=2, hidden_dim=4, word_dim=4)
+        cfg = TrainConfig(hop_size=2, hidden=4, word_dim=4)
         store = hop_store(cfg, seed=1)
         vocab = vocab_over(["t0", "t1", "t2", "original", "mutated"])
 
@@ -195,7 +195,7 @@ class TestPropagate:
 
     def test_distance_two_node_does_affect_with_k2(self):
         # Locality is tight: the same mutation two hops away must show up.
-        cfg = EncoderConfig(hop_size=2, hidden_dim=4, word_dim=4)
+        cfg = TrainConfig(hop_size=2, hidden=4, word_dim=4)
         store = hop_store(cfg, seed=1)
         randomize_parameters(store, np.random.default_rng(20))
         vocab = vocab_over(["t0", "t1", "original", "mutated"])
@@ -208,7 +208,7 @@ class TestPropagate:
         assert not np.array_equal(endpoint_embedding("original"), endpoint_embedding("mutated"))
 
     def test_direction_matters(self):
-        cfg = EncoderConfig(hop_size=1, hidden_dim=4, word_dim=4)
+        cfg = TrainConfig(hop_size=1, hidden=4, word_dim=4)
         store = hop_store(cfg, seed=3)
         randomize_parameters(store, np.random.default_rng(10))
         vocab = vocab_over(["u", "v"])
@@ -226,14 +226,14 @@ class TestPropagate:
 
 class TestAggregateDirection:
     def test_empty_neighborhood_gives_zero(self):
-        cfg = EncoderConfig(hop_size=1, hidden_dim=3, word_dim=3)
+        cfg = TrainConfig(hop_size=1, hidden=3, word_dim=3)
         store = hop_store(cfg)
         out = aggregate_direction(Tensor(np.ones((1, 3))), padded_index([[]]), store, 1, "fwd")
         assert np.array_equal(out.data[0], np.zeros(3, dtype=np.float32))
 
     def test_singleton_is_transformed_vector(self):
         with default_dtype(np.float64):
-            cfg = EncoderConfig(hop_size=1, hidden_dim=3, word_dim=3)
+            cfg = TrainConfig(hop_size=1, hidden=3, word_dim=3)
             store = hop_store(cfg, seed=4)
             h = np.array([0.3, -0.7, 1.1])
             out = aggregate_direction(Tensor(h[None, :]), padded_index([[0]]), store, 1, "fwd")
@@ -241,7 +241,7 @@ class TestAggregateDirection:
             assert np.allclose(out.data[0], np.maximum(h @ w + b, 0.0))
 
     def test_identity_weights_three_neighbors(self):
-        cfg = EncoderConfig(hop_size=1, hidden_dim=3, word_dim=3)
+        cfg = TrainConfig(hop_size=1, hidden=3, word_dim=3)
         store = hop_store(cfg)
         store["hop1.fwd.agg.w"].data = np.eye(3, dtype=np.float32)
         store["hop1.fwd.agg.b"].data = np.zeros(3, dtype=np.float32)
@@ -254,7 +254,7 @@ class TestAggregateDirection:
 class TestNodeFeatures:
     def test_single_token_is_one_recurrent_step(self):
         with default_dtype(np.float64):
-            cfg = EncoderConfig(hop_size=1, hidden_dim=2, word_dim=2)
+            cfg = TrainConfig(hop_size=1, hidden=2, word_dim=2)
             store = hop_store(cfg, seed=6)
             randomize_parameters(store, np.random.default_rng(2))
             vocab = vocab_over(["select"])
@@ -264,7 +264,7 @@ class TestNodeFeatures:
 
     def test_two_token_node_matches_hand_recurrence(self):
         with default_dtype(np.float64):
-            cfg = EncoderConfig(hop_size=1, hidden_dim=2, word_dim=2)
+            cfg = TrainConfig(hop_size=1, hidden=2, word_dim=2)
             store = hop_store(cfg, seed=6)
             randomize_parameters(store, np.random.default_rng(3))
             vocab = vocab_over([">", "val_0"])
@@ -273,7 +273,7 @@ class TestNodeFeatures:
             assert np.allclose(feats.data[0], _oracle_lstm(store, vocab, (">", "val_0")), atol=1e-12)
 
     def test_identical_texts_share_features(self):
-        cfg = EncoderConfig(hop_size=1, hidden_dim=3, word_dim=3)
+        cfg = TrainConfig(hop_size=1, hidden=3, word_dim=3)
         store = hop_store(cfg, seed=8)
         vocab = vocab_over(["dup"])
         graph = make_graph(2, [], texts=[("dup",), ("dup",)])
@@ -281,7 +281,7 @@ class TestNodeFeatures:
         assert np.array_equal(feats.data[0], feats.data[1])
 
     def test_unknown_tokens_map_to_unk(self):
-        cfg = EncoderConfig(hop_size=1, hidden_dim=3, word_dim=3)
+        cfg = TrainConfig(hop_size=1, hidden=3, word_dim=3)
         store = hop_store(cfg, seed=8)
         vocab = vocab_over(["known"])
         known = make_graph(1, [], texts=[("mystery",)])
@@ -314,7 +314,7 @@ def _oracle_lstm(store, vocab, text):
 class TestGraphEmbedding:
     def test_pooling_single_node(self):
         with default_dtype(np.float64):
-            cfg = EncoderConfig(hop_size=0, hidden_dim=2, word_dim=2)
+            cfg = TrainConfig(hop_size=0, hidden=2, word_dim=2)
             store = hop_store(cfg, seed=11)
             randomize_parameters(store, np.random.default_rng(4))
             final = Tensor(np.array([[0.5, -1.0, 2.0, 0.0]]))
@@ -323,7 +323,7 @@ class TestGraphEmbedding:
             assert np.allclose(out.data[0], final.data[0] @ w + b)
 
     def test_pooling_equal_rows(self):
-        cfg = EncoderConfig(hop_size=0, hidden_dim=2, word_dim=2)
+        cfg = TrainConfig(hop_size=0, hidden=2, word_dim=2)
         store = hop_store(cfg, seed=11)
         row = np.array([0.5, -1.0, 2.0, 0.0], dtype=np.float32)
         out = graph_embedding_pooling(Tensor(np.stack([row, row, row])), all_rows(3), store)
@@ -334,7 +334,7 @@ class TestGraphEmbedding:
 
     def test_pooling_matches_brute_force(self):
         with default_dtype(np.float64):
-            cfg = EncoderConfig(hop_size=0, hidden_dim=3, word_dim=3)
+            cfg = TrainConfig(hop_size=0, hidden=3, word_dim=3)
             store = hop_store(cfg, seed=12)
             randomize_parameters(store, np.random.default_rng(5))
             rows = np.random.default_rng(6).normal(size=(5, 6))
@@ -343,7 +343,7 @@ class TestGraphEmbedding:
             assert np.allclose(out.data[0], (rows @ w + b).max(axis=0))
 
     def test_supernode_k0_independent_of_graph(self):
-        cfg = EncoderConfig(hop_size=0, hidden_dim=3, word_dim=3, ge_method="supernode")
+        cfg = TrainConfig(hop_size=0, hidden=3, word_dim=3, ge_method="supernode")
         store = hop_store(cfg, seed=13)
         vocab = vocab_over(["a", "b", "c", "<super>"])
         *_, ge1 = encode([build_graph(parse("SELECT a"))], vocab, store, cfg)
@@ -354,7 +354,7 @@ class TestGraphEmbedding:
         with default_dtype(np.float64):
             from sql2text.graphs import add_super_node
 
-            cfg = EncoderConfig(hop_size=1, hidden_dim=3, word_dim=3, ge_method="supernode")
+            cfg = TrainConfig(hop_size=1, hidden=3, word_dim=3, ge_method="supernode")
             store = hop_store(cfg, seed=14)
             randomize_parameters(store, np.random.default_rng(7))
             vocab = vocab_over(["a", "b", "c", "<super>"])
@@ -366,13 +366,13 @@ class TestGraphEmbedding:
             assert np.allclose(ge.data[0], expected[-1], atol=1e-9)
 
     def test_pooling_and_supernode_differ(self):
-        cfg_pool = EncoderConfig(hop_size=1, hidden_dim=3, word_dim=3, ge_method="pooling")
+        cfg_pool = TrainConfig(hop_size=1, hidden=3, word_dim=3, ge_method="pooling")
         store = hop_store(cfg_pool, seed=15)
         randomize_parameters(store, np.random.default_rng(8))
         vocab = vocab_over(["a", "b", "<super>"])
         graph = build_graph(parse("SELECT a, b"))
         *_, ge_pool = encode([graph], vocab, store, cfg_pool)
-        cfg_super = EncoderConfig(hop_size=1, hidden_dim=3, word_dim=3, ge_method="supernode")
+        cfg_super = TrainConfig(hop_size=1, hidden=3, word_dim=3, ge_method="supernode")
         *_, ge_super = encode([graph], vocab, store, cfg_super)
         assert not np.allclose(ge_pool.data, ge_super.data)
 
@@ -380,7 +380,7 @@ class TestGraphEmbedding:
 def test_encoder_gradients_match_finite_differences():
     from sql2text.optim import finite_difference_check
 
-    cfg = EncoderConfig(hop_size=2, hidden_dim=3, word_dim=3)
+    cfg = TrainConfig(hop_size=2, hidden=3, word_dim=3)
     store = hop_store(cfg, seed=16)
     randomize_parameters(store, np.random.default_rng(11))
     vocab = vocab_over(["a", "b"])

@@ -15,7 +15,7 @@ from sql2text.evaluation import (
     sentence_bleu4_smoothed,
     write_report,
 )
-from sql2text.model import GraphToSequenceModel, ModelConfig
+from sql2text.model import GraphToSequenceModel
 from sql2text.training import TrainConfig, train
 
 
@@ -138,7 +138,7 @@ class TestSentenceBleu:
 
 def tiny_model(pairs, seed=0):
     src, tgt = build_vocab(pairs)
-    cfg = ModelConfig(word_dim=8, hidden=8, hop_size=1, dropout=0.0, max_decode_len=8)
+    cfg = TrainConfig(word_dim=8, hidden=8, hop_size=1, dropout=0.0, max_decode_len=8)
     return GraphToSequenceModel(src, tgt, cfg, seed=seed)
 
 

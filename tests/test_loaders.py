@@ -19,8 +19,9 @@ from sql2text.checkpoint import (
     save_checkpoint,
 )
 from sql2text.cli import main
+from sql2text.config import TrainConfig
 from sql2text.data import Vocabulary, ingest_dataset
-from sql2text.model import GraphToSequenceModel, ModelConfig
+from sql2text.model import GraphToSequenceModel
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
@@ -48,7 +49,7 @@ def load_bytes(scratch: Path, blob: bytes):
 @pytest.fixture(scope="module")
 def valid_blob(scratch) -> bytes:
     vocab = Vocabulary(["a", "b"])
-    config = ModelConfig(word_dim=2, hidden=2, hop_size=1, dropout=0.0)
+    config = TrainConfig(word_dim=2, hidden=2, hop_size=1, dropout=0.0)
     model = GraphToSequenceModel(vocab, vocab, config)
     path = scratch / "valid.ckpt"
     save_checkpoint(path, ModelCheckpoint.from_model(model))

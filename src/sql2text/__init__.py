@@ -1,9 +1,9 @@
 """SQL-to-text generation.
 
 Restricted SQL queries are parsed into an AST, represented as directed
-graphs (plus linearized and tree encodings for sequence/tree baselines),
-encoded with a bidirectional K-hop neighbor-aggregation graph encoder and
-decoded into natural-language interpretations by an attention decoder.
+graphs, encoded with a bidirectional K-hop neighbor-aggregation graph
+encoder and decoded into natural-language interpretations by an attention
+decoder.
 Everything trains end to end on CPU through a small numpy-backed autodiff
 engine.
 """
@@ -32,10 +32,8 @@ from .graphs import (
     QueryGraph,
     add_super_node,
     build_graph,
-    linearize,
     template_interpret,
     to_undirected,
-    tree_repr,
 )
 from .model import GraphToSequenceModel
 from .optim import (
@@ -81,10 +79,8 @@ __all__ = [
     "QueryGraph",
     "add_super_node",
     "build_graph",
-    "linearize",
     "template_interpret",
     "to_undirected",
-    "tree_repr",
     "GraphToSequenceModel",
     "AdamState",
     "ParameterStore",

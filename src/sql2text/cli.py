@@ -104,6 +104,16 @@ def _effective_config(args: argparse.Namespace, overrides: dict | None = None) -
         raise UsageError(f"invalid configuration: {exc}") from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _ast_dict(query: SqlQuery) -> dict:
     def expr(e):
         if isinstance(e, Condition):
@@ -180,21 +190,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     model = restore_model(load_checkpoint(args.checkpoint))
-    queries = _iter_queries(args)
-
-    def run(sql: str) -> str:
-        tokens = model.generate(sql, beam_size=args.beam, greedy=args.greedy)
-        return " ".join(tokens)
-
-    if args.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outputs = list(pool.map(run, queries))
-    else:
-        outputs = [run(sql) for sql in queries]
-    for line in outputs:
-        print(line)
+    for sql in _iter_queries(args):
+        print(" ".join(model.generate(sql, beam_size=args.beam, greedy=args.greedy)))
     return 0
 
 
@@ -204,7 +201,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     ingest = ingest_dataset(args.test)
     for line_no, reason in ingest.skipped:
         print(f"warning: skipped line {line_no}: {reason}", file=sys.stderr)
-    report = evaluate_model(model, ingest.pairs, beam_size=args.beam, jobs=args.jobs)
+    report = evaluate_model(model, ingest.pairs, beam_size=args.beam)
     if args.report:
         write_report(args.report, report, ckpt.config)
     print(f"corpus BLEU-4: {report.corpus_bleu4:.6f} ({report.corpus_bleu4 * 100.0:.2f} x100)")
@@ -305,17 +302,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate interpretations from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     add_query_source(p)
-    p.add_argument("--beam", type=int, default=None, help="beam size override")
+    p.add_argument("--beam", type=_positive_int, default=None, help="beam size override")
     p.add_argument("--greedy", action="store_true", help="greedy decoding")
-    p.add_argument("--jobs", type=int, default=1, help="generation worker threads")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("evaluate", help="corpus BLEU-4 of a checkpoint on a test set")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--test", required=True, help="test JSONL path")
     p.add_argument("--report", help="write the JSON evaluation report here")
-    p.add_argument("--beam", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--beam", type=_positive_int, default=None)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser(
@@ -331,7 +326,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         choices=("float32", "float64", "both"),
         default="float32",
     )
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_positive_int, default=200)
     _add_config_flags(p, exclude=("precision",))
     p.set_defaults(func=cmd_gradcheck)
 

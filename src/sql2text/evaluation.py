@@ -6,7 +6,6 @@ import hashlib
 import json
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -125,7 +124,6 @@ def evaluate_model(
     model: GraphToSequenceModel,
     pairs: list[ExamplePair],
     beam_size: int | None = None,
-    jobs: int = 1,
 ) -> EvalReport:
     """Generate (beam search) for every pair and score the corpus.
 
@@ -141,12 +139,7 @@ def evaluate_model(
         except Exception as exc:  # scored as empty, but kept in the report
             return [], f"{type(exc).__name__}: {exc}"
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(generate, pairs))
-    else:
-        outcomes = [generate(p) for p in pairs]
-
+    outcomes = [generate(p) for p in pairs]
     hypotheses = [h for h, _ in outcomes]
     references = [list(p.target) for p in pairs]
     report = bleu4_corpus(hypotheses, references)

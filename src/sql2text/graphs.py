@@ -1,17 +1,13 @@
-"""Query encodings: directed graph, linearized token sequence, clause tree
-and the rule-based template interpretation."""
+"""Query graphs and the rule-based template interpretation."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .parser import BoolOp, Condition, LogicExpr, SqlQuery, conditions_in_order
+from .parser import BoolOp, Condition, LogicExpr, SqlQuery
 
-SPLIT_SYMBOL = "<sep>"
 SUPER_TOKEN = "<super>"
-
-NODE_KINDS = ("select", "aggregation", "column", "constraint", "operator", "super")
 
 
 @dataclass(frozen=True)
@@ -35,7 +31,6 @@ class QueryGraph:
 
     nodes: list[GraphNode] = field(default_factory=list)
     edges: list[tuple[int, int]] = field(default_factory=list)
-    undirected_view: bool = False
 
     def adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
         """(forward, backward) neighbor lists: nodes v directs to, nodes
@@ -93,10 +88,10 @@ def build_graph(query: SqlQuery) -> QueryGraph:
 
     Edges: select->selected-column (via an aggregation node when present:
     select->aggregation->column); each logical operator node points at the
-    select node and at the column node of every condition it combines;
-    condition columns point at their (merged) constraint nodes.  A lone
-    condition without a logical operator hangs its column directly under
-    the select node.
+    select node, at each child operator node and at the column node of
+    every condition it combines; condition columns point at their (merged)
+    constraint nodes.  A lone condition without a logical operator hangs
+    its column directly under the select node.
     """
     b = _GraphBuilder()
     select_id = b.node("select", ("select",))
@@ -115,14 +110,15 @@ def build_graph(query: SqlQuery) -> QueryGraph:
         b.edge(parent, col_id)
         b.edge(col_id, b.constraint(_constraint_tokens(cond)))
 
-    def add_operator(expr: BoolOp) -> None:
+    def add_operator(expr: BoolOp) -> int:
         op_id = b.node("operator", (expr.op,))
         b.edge(op_id, select_id)
         for child in expr.children:
             if isinstance(child, Condition):
                 add_condition(child, op_id)
             else:
-                add_operator(child)
+                b.edge(op_id, add_operator(child))
+        return op_id
 
     if isinstance(query.where, Condition):
         add_condition(query.where, select_id)
@@ -133,14 +129,14 @@ def build_graph(query: SqlQuery) -> QueryGraph:
 
 
 def to_undirected(graph: QueryGraph) -> QueryGraph:
-    """Mirror every edge (deduplicated) and mark the undirected view."""
+    """Mirror every edge (deduplicated)."""
     edges = list(graph.edges)
     seen = set(edges)
     for src, dst in graph.edges:
         if (dst, src) not in seen:
             seen.add((dst, src))
             edges.append((dst, src))
-    return QueryGraph(list(graph.nodes), edges, undirected_view=True)
+    return QueryGraph(list(graph.nodes), edges)
 
 
 def add_super_node(graph: QueryGraph) -> QueryGraph:
@@ -151,7 +147,7 @@ def add_super_node(graph: QueryGraph) -> QueryGraph:
     super_id = len(nodes)
     nodes.append(GraphNode(super_id, "super", (SUPER_TOKEN,)))
     edges = list(graph.edges) + [(n.id, super_id) for n in graph.nodes]
-    return QueryGraph(nodes, edges, undirected_view=graph.undirected_view)
+    return QueryGraph(nodes, edges)
 
 
 def disjoint_union(graphs: list[QueryGraph]) -> QueryGraph:
@@ -164,59 +160,6 @@ def disjoint_union(graphs: list[QueryGraph]) -> QueryGraph:
         nodes.extend(GraphNode(offset + n.id, n.kind, n.text) for n in graph.nodes)
         edges.extend((offset + src, offset + dst) for src, dst in graph.edges)
     return QueryGraph(nodes, edges)
-
-
-def linearize(query: SqlQuery) -> list[str]:
-    """Flat token sequence for sequence-encoder baselines.
-
-    ``select [aggregation] <sep> column [<sep> column ...] [where
-    condition [<sep> condition ...]]`` where each condition contributes
-    its column words, comparator and value tokens.
-    """
-    tokens = ["select"]
-    if query.aggregation is not None:
-        tokens.append(query.aggregation)
-    tokens.append(SPLIT_SYMBOL)
-    for i, name in enumerate(query.select_columns):
-        if i:
-            tokens.append(SPLIT_SYMBOL)
-        tokens.extend(_column_tokens(name))
-    conditions = conditions_in_order(query.where)
-    if conditions:
-        tokens.append("where")
-        for i, cond in enumerate(conditions):
-            if i:
-                tokens.append(SPLIT_SYMBOL)
-            tokens.extend(_column_tokens(cond.column))
-            tokens.append(cond.comparator)
-            tokens.extend(cond.value.text.split())
-    return tokens
-
-
-@dataclass
-class TreeNode:
-    label: str
-    children: list["TreeNode"] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"label": self.label, "children": [c.to_dict() for c in self.children]}
-
-
-def tree_repr(query: SqlQuery) -> TreeNode:
-    """Clause tree: root over "Select List" (children: selected columns)
-    and "Where Clause" (children: the logical-operator tree, whose leaves
-    are conditions).  Queries without a WHERE omit that child."""
-
-    def expr_node(expr: LogicExpr) -> TreeNode:
-        if isinstance(expr, Condition):
-            return TreeNode(f"{expr.column} {expr.comparator} {expr.value.text}")
-        return TreeNode(expr.op, [expr_node(c) for c in expr.children])
-
-    select_list = TreeNode("Select List", [TreeNode(c) for c in query.select_columns])
-    root = TreeNode("root", [select_list])
-    if query.where is not None:
-        root.children.append(TreeNode("Where Clause", [expr_node(query.where)]))
-    return root
 
 
 _COMPARATOR_WORDS = {

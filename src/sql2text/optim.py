@@ -57,9 +57,6 @@ class ParameterStore:
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._params.items())
 
-    def num_values(self) -> int:
-        return sum(t.data.size for t in self._params.values())
-
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.grad = None
@@ -183,6 +180,8 @@ def finite_difference_check(
     magnitude, so near-zero coordinates are held to an absolute tolerance
     at the problem's own scale.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     if rng is None:
         rng = np.random.default_rng(0)
 

@@ -211,12 +211,6 @@ class _Parser:
     def fail(self, message: str, expected: tuple[str, ...] = ()) -> None:
         raise SqlParseError(message, self.peek().offset, expected)
 
-    def expect_keyword(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "keyword" or tok.text != word:
-            self.fail(f"expected {word.upper()}, found {tok.text or 'end of input'!r}", (word.upper(),))
-        return self.advance()
-
     def query(self) -> SqlQuery:
         tok = self.peek()
         if tok.kind == "keyword" and tok.text == "select":

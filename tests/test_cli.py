@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sql2text import cli
 from sql2text.cli import CONFIG_ENV_VAR, build_arg_parser, main
 from sql2text.graphs import template_interpret
 from sql2text.parser import parse
@@ -147,18 +148,6 @@ class TestTrainGenerateEvaluate:
         _, out2, _ = run(capsys, "generate", "--checkpoint", str(trained["ckpt"]), "SELECT c")
         assert out1 == out2
 
-    def test_generate_jobs_pool_matches_serial(self, capsys, trained, tmp_path):
-        queries = tmp_path / "queries.txt"
-        queries.write_text("SELECT a\nSELECT c\n")
-        _, serial, _ = run(
-            capsys, "generate", "--checkpoint", str(trained["ckpt"]), "--file", str(queries)
-        )
-        _, pooled, _ = run(
-            capsys, "generate", "--checkpoint", str(trained["ckpt"]), "--file", str(queries),
-            "--jobs", "2",
-        )
-        assert serial == pooled
-
     def test_evaluate_writes_report(self, capsys, trained):
         report_path = trained["root"] / "report.json"
         code, out, _ = run(
@@ -175,6 +164,41 @@ class TestTrainGenerateEvaluate:
         code, _, err = run(capsys, "generate", "--checkpoint", "/nonexistent.ckpt", "SELECT a")
         assert code == 1
         assert err
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("called before the flags were checked")
+
+
+class TestFlagRanges:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["generate", "--beam", "0", "SELECT a"],
+            ["generate", "--beam", "-2", "--greedy", "SELECT a"],
+            ["generate", "--beam", "two", "SELECT a"],
+            ["generate", "--jobs", "2", "SELECT a"],
+            ["evaluate", "--test", "{data}", "--beam", "0"],
+            ["evaluate", "--test", "{data}", "--jobs", "2"],
+        ],
+    )
+    def test_bad_generation_flag_exits_2_before_loading(self, capsys, monkeypatch, trained, flags):
+        monkeypatch.setattr(cli, "load_checkpoint", _forbidden)
+        monkeypatch.setattr(cli, "ingest_dataset", _forbidden)
+        argv = [flags[0], "--checkpoint", str(trained["ckpt"])]
+        argv += [f.format(data=trained["data"]) for f in flags[1:]]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_gradcheck_samples_below_one_exits_2(self, capsys, monkeypatch, samples):
+        monkeypatch.setattr(cli, "finite_difference_check", _forbidden)
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--samples", samples])
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err
 
 
 class TestConfigPlumbing:

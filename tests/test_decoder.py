@@ -21,6 +21,7 @@ from sql2text.decoder import (
     next_token_logits,
     sequence_loss,
 )
+from sql2text.nn import LSTM_GATES
 from sql2text.optim import ParameterStore, randomize_parameters
 
 VOCAB = 9
@@ -423,6 +424,29 @@ def probe(seed: int, cfg: TrainConfig):
     return store, one(random_nodes(3, seed=seed), ge)
 
 
+def eos_probe(seed: int, cfg: TrainConfig, rate: float = 0.25, eos_weight: float = 4.0):
+    """A probe whose EOS logit depends on the decoder state: LSTM unit 0
+    counts steps (its cell gains ``rate`` a step from a random start
+    below 0), readout unit 0 follows it, and the EOS column of ``dec_out.w``
+    reads only that unit.  EOS turns likely after a few tokens, so at any
+    alpha many outputs end by EOS before the cap."""
+    store, batch = probe(seed, cfg)
+    for gate in LSTM_GATES:
+        store[f"dec_lstm.{gate}.w"].data[:, 0] = 0.0
+        store[f"dec_lstm.{gate}.b"].data[0] = 10.0
+    store["dec_lstm.c.b"].data[0] = np.arctanh(rate)
+    store["dec_init_c.w"].data[:, 0] = 0.0
+    store["dec_init_c.b"].data[0] = np.random.default_rng(seed + 1700).uniform(-1.5, 0.0)
+    store["dec_readout.w"].data[:, 0] = 0.0
+    store["dec_readout.w"].data[0, 0] = 3.0
+    store["dec_readout.b"].data[0] = 0.0
+    store["dec_out.w"].data[0, :] = 0.0
+    store["dec_out.w"].data[:, EOS] = 0.0
+    store["dec_out.w"].data[0, EOS] = eos_weight
+    store["dec_out.b"].data[EOS] = 0.0
+    return store, batch
+
+
 class TestBeamSearchMatchesReference:
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5])
     def test_token_identical_on_random_stores(self, alpha):
@@ -440,6 +464,20 @@ class TestBeamSearchMatchesReference:
         # Outputs cut by the length cap and ended by EOS are both covered.
         assert cfg.max_decode_len in lengths
         assert any(0 < n < cfg.max_decode_len for n in lengths)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_token_identical_when_eos_depends_on_the_state(self, alpha):
+        cfg = small_cfg(max_decode_len=6, length_norm_alpha=alpha)
+        early = 0
+        for seed in range(20):
+            store, batch = eos_probe(seed, cfg)
+            for width in (1, 2, 3, 5):
+                want = reference_beam_search(*batch, store, cfg, beam_size=width)
+                got = beam_search(*batch, store, cfg, beam_size=width)
+                assert got == want, f"seed {seed}, width {width}: {got} vs {want}"
+                early += 0 < len(want) < cfg.max_decode_len
+        # Ended by EOS after at least one token and before the cap.
+        assert early >= 20
 
     def test_stops_before_the_cap_under_length_normalisation(self, monkeypatch):
         cfg = small_cfg(max_decode_len=30, length_norm_alpha=1.0)

@@ -16,7 +16,7 @@ from sql2text.evaluation import (
     write_report,
 )
 from sql2text.model import GraphToSequenceModel
-from sql2text.training import TrainConfig, train
+from sql2text.training import TrainConfig
 
 
 def reference_bleu(hypotheses, references):
@@ -190,29 +190,3 @@ class TestEvaluateModel:
         write_report(p1, evaluate_model(model, pairs), {"seed": 1})
         write_report(p2, evaluate_model(model, pairs), {"seed": 1})
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_worker_pool_preserves_order(self):
-        pairs = [
-            ExamplePair("SELECT a", tokenize_text("which a")),
-            ExamplePair("SELECT b", tokenize_text("which b")),
-            ExamplePair("SELECT c", tokenize_text("which c")),
-        ]
-        model = tiny_model(pairs)
-        serial = evaluate_model(model, pairs, jobs=1)
-        threaded = evaluate_model(model, pairs, jobs=3)
-        assert [r.hypothesis for r in serial.examples] == [r.hypothesis for r in threaded.examples]
-        assert serial.corpus_bleu4 == threaded.corpus_bleu4
-
-    def test_threaded_evaluation_leaves_training_gradients_on(self):
-        # Worker threads toggling inference mode must not switch gradients
-        # off for the training that follows.
-        pairs = [
-            ExamplePair(f"SELECT c{i} WHERE d{i} = val0", tokenize_text(f"which c{i} where d{i} is val_0"))
-            for i in range(6)
-        ]
-        model = tiny_model(pairs)
-        for _ in range(5):
-            evaluate_model(model, pairs, jobs=3)
-        config = TrainConfig(word_dim=8, hidden=8, hop_size=1, epochs=1, batch_size=6, seed=0)
-        result = train(config, pairs)
-        assert result.batch_logs[0].grad_norm > 0.0

@@ -1,22 +1,20 @@
-import json
 import re
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from test_parser import _logic, _queries
 
 from sql2text.graphs import (
-    SPLIT_SYMBOL,
     QueryGraph,
     add_super_node,
     build_graph,
-    linearize,
     template_interpret,
     to_dot,
     to_json_dict,
     to_undirected,
-    tree_repr,
 )
-from sql2text.parser import parse
+from sql2text.parser import Condition, SqlQuery, parse
 
 EXAMPLE_QUERY = (
     "SELECT company WHERE assets > val0 AND sales > val0 "
@@ -183,11 +181,93 @@ class TestBuildGraph:
         assert sum(1 for n in g.nodes if n.text == ("b",)) == 2
 
 
+# Two logically different nested queries that shared one graph while
+# operators were not linked to their child operators.
+NESTED_PAIR = (
+    "SELECT a WHERE NOT (b > val0 AND c > val1) OR NOT (d > val2 AND e > val3)",
+    "SELECT a WHERE NOT ((b > val0 AND c > val1) OR NOT (d > val2 AND e > val3))",
+)
+
+
+def unfold(graph):
+    """Canonical unfolding of a query graph from its select node:
+    (aggregation, sorted selected columns, WHERE tree), with each
+    operator's children sorted.  Only node texts and edges are read, so
+    isomorphic graphs unfold alike."""
+    fwd, bwd = graph.adjacency()
+    kind = [n.kind for n in graph.nodes]
+    text = [n.text for n in graph.nodes]
+    (select,) = [v for v, k in enumerate(kind) if k == "select"]
+
+    def expr(v):
+        if kind[v] == "column":
+            (constraint,) = fwd[v]
+            return (text[v], text[constraint])
+        return (text[v], tuple(sorted((expr(u) for u in fwd[v] if u != select), key=repr)))
+
+    aggs = [u for u in fwd[select] if kind[u] == "aggregation"]
+    column_parent = aggs[0] if aggs else select
+    columns = sorted(text[u] for u in fwd[column_parent] if kind[u] == "column" and not fwd[u])
+    roots = [
+        v for v in bwd[select]
+        if kind[v] == "operator" and not any(kind[p] == "operator" for p in bwd[v])
+    ]
+    lone = [u for u in fwd[select] if kind[u] == "column" and fwd[u]]
+    assert len(roots) + len(lone) <= 1
+    where = [expr(v) for v in roots + lone]
+    return (text[aggs[0]] if aggs else None, tuple(columns), where[0] if where else None)
+
+
+def canonical(query: SqlQuery):
+    """The same form computed from the AST (value kinds dropped, as the
+    graph keeps only value text)."""
+
+    def expr(e):
+        if isinstance(e, Condition):
+            return (tuple(e.column.split()), (e.comparator, *e.value.text.split()))
+        return ((e.op,), tuple(sorted((expr(c) for c in e.children), key=repr)))
+
+    return (
+        (query.aggregation,) if query.aggregation else None,
+        tuple(sorted(tuple(c.split()) for c in query.select_columns)),
+        expr(query.where) if query.where is not None else None,
+    )
+
+
+class TestNestedLogic:
+    def test_roadmap_pair_gives_different_graphs(self):
+        first, second = (build_graph(parse(sql)) for sql in NESTED_PAIR)
+        assert edge_multiset(first) != edge_multiset(second)
+        assert unfold(first) != unfold(second)
+
+    def test_every_operator_has_its_children(self):
+        for sql in NESTED_PAIR:
+            g = build_graph(parse(sql))
+            fwd, _ = g.adjacency()
+            select = g.node_of_kind("select")
+            for node in g.nodes:
+                if node.kind == "operator":
+                    children = [u for u in fwd[node.id] if u != select.id]
+                    assert len(children) == (1 if node.text == ("not",) else 2)
+
+    @settings(deadline=None, max_examples=300)
+    @given(_queries)
+    def test_graph_determines_query_up_to_child_order(self, query):
+        assert unfold(build_graph(query)) == canonical(query)
+
+    @settings(deadline=None, max_examples=300)
+    @given(_logic, _logic)
+    def test_distinct_conditions_give_distinct_graphs(self, first, second):
+        assume(canonical(SqlQuery(None, ("a",), first)) != canonical(SqlQuery(None, ("a",), second)))
+        g1 = build_graph(SqlQuery(None, ("a",), first))
+        g2 = build_graph(SqlQuery(None, ("a",), second))
+        assert unfold(g1) != unfold(g2)
+
+
 class TestUndirected:
     def test_two_node_graph(self):
         g = to_undirected(build_graph(parse("SELECT name")))
         assert sorted(g.edges) == [(0, 1), (1, 0)]
-        assert g.undirected_view
 
     def test_example_graph_doubles_edges(self):
         g = to_undirected(build_graph(parse(EXAMPLE_QUERY)))
@@ -216,79 +296,6 @@ class TestSuperNode:
         g = add_super_node(build_graph(parse("SELECT name")))
         with pytest.raises(ValueError):
             add_super_node(g)
-
-
-class TestLinearize:
-    def test_example_tokens(self):
-        assert linearize(parse(EXAMPLE_QUERY)) == [
-            "select", "<sep>", "company", "where",
-            "assets", ">", "val_0", "<sep>",
-            "sales", ">", "val_0", "<sep>",
-            "industry", "<=", "val_1", "<sep>",
-            "profits", "=", "val_2",
-        ]
-
-    def test_minimal(self):
-        assert linearize(parse("SELECT name")) == ["select", "<sep>", "name"]
-
-    def test_aggregation_prefix(self):
-        tokens = linearize(parse("SELECT COUNT player WHERE pos = val0"))
-        assert tokens[:3] == ["select", "count", "<sep>"]
-
-    def test_resegmentation_recovers_conditions(self):
-        q = parse("SELECT a, b WHERE c > val0 AND d = val1")
-        tokens = linearize(q)
-        where_at = tokens.index("where")
-        select_part = tokens[1:where_at]
-        columns = [
-            " ".join(seg)
-            for seg in _split(select_part, SPLIT_SYMBOL)
-            if seg
-        ]
-        assert columns == ["a", "b"]
-        triples = [seg for seg in _split(tokens[where_at + 1 :], SPLIT_SYMBOL)]
-        assert triples == [["c", ">", "val_0"], ["d", "=", "val_1"]]
-
-
-def _split(tokens, sep):
-    out, cur = [], []
-    for t in tokens:
-        if t == sep:
-            out.append(cur)
-            cur = []
-        else:
-            cur.append(t)
-    out.append(cur)
-    return out
-
-
-class TestTree:
-    def test_example_structure(self):
-        tree = tree_repr(parse(EXAMPLE_QUERY))
-        assert tree.label == "root"
-        select_list, where_clause = tree.children
-        assert select_list.label == "Select List"
-        assert [c.label for c in select_list.children] == ["company"]
-        assert where_clause.label == "Where Clause"
-        (and_node,) = where_clause.children
-        assert and_node.label == "and"
-        assert len(and_node.children) == 4
-        assert and_node.children[0].label == "assets > val_0"
-
-    def test_no_where_clause_child_absent(self):
-        tree = tree_repr(parse("SELECT name"))
-        assert [c.label for c in tree.children] == ["Select List"]
-
-    def test_nested_not_chain_preserved(self):
-        tree = tree_repr(parse("SELECT a WHERE b = val0 AND NOT c = val1"))
-        and_node = tree.children[1].children[0]
-        assert and_node.label == "and"
-        assert and_node.children[1].label == "not"
-        assert and_node.children[1].children[0].label == "c = val_1"
-
-    def test_to_dict_round_trips_json(self):
-        d = tree_repr(parse(EXAMPLE_QUERY)).to_dict()
-        assert json.loads(json.dumps(d)) == d
 
 
 class TestTemplate:

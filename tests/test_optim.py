@@ -198,6 +198,19 @@ class TestFiniteDifferenceCheck:
         with pytest.raises(AutodiffError):
             finite_difference_check(loss, store)
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_fewer_than_one_sample_rejected(self, f64, samples):
+        store = store_with({"p": [1.0]})
+        calls = []
+
+        def loss(s):
+            calls.append(1)
+            return ad.tsum(s["p"])
+
+        with pytest.raises(ValueError, match="samples"):
+            finite_difference_check(loss, store, samples=samples)
+        assert not calls
+
     def test_small_network_float32(self):
         store = ParameterStore()
         rng = np.random.default_rng(0)

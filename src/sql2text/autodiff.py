@@ -11,13 +11,15 @@ the sequences of a minibatch, and the row-level ops (``gather``,
 ``slice_rows``, ``segment_max``, masked ``softmax``) let one op serve the
 whole minibatch instead of a Python loop over vectors.
 
-Matrix-product and embedding-lookup gradients are not summed as they
-arrive.  ``matmul`` stores the operand pair of each outer product on the
-receiving matrix and ``gather`` stores each looked-up index with its
-gradient; when the reverse sweep reaches the matrix, all stored pairs
-become its gradient in one GEMM and all stored rows in one scatter-add.
-So each weight gradient is built once per backward, and an embedding's
-cost does not grow with the vocabulary.
+``affine`` (``x @ w + b``) is the one matrix product: every linear layer
+is one ``affine`` op, and attention's batched contractions use ``einsum``.
+Weight and embedding-lookup gradients are not summed as they arrive.
+``affine`` stores the operand pair of each outer product on its weight
+matrix and ``gather`` stores each looked-up index with its gradient; when
+the reverse sweep reaches the matrix, all stored pairs become its
+gradient in one GEMM and all stored rows in one scatter-add.  So each
+weight gradient is built once per backward, and an embedding's cost does
+not grow with the vocabulary.
 
 Grad mode (:func:`no_grad`) and the default dtype are context variables:
 each thread starts from the defaults and switching them in one thread
@@ -86,15 +88,8 @@ class Tensor:
         self._pairs: tuple | None = None  # ([u], [v]): grad += U.T @ V
         self._rows: tuple | None = None  # ([index], [g]): grad[index] += g
 
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         """Populate ``grad`` on every reachable tensor with requires_grad.
@@ -121,21 +116,12 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return add(self, neg(other))
-
-    def __neg__(self):
-        return neg(self)
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scale(self, float(other))
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -242,15 +228,6 @@ def add(a, b) -> Tensor:
     return _result(out, (a, b), backward)
 
 
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def backward(g):
-        _accumulate(a, -g)
-
-    return _result(-a.data, (a,), backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of same-shape tensors."""
     if a.data.shape != b.data.shape:
@@ -270,39 +247,25 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _result(a.data * s, (a,), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape[-1] != b.data.shape[0]:
-        raise AutodiffError(
-            f"matmul inner dimensions disagree: {a.data.shape} vs {b.data.shape}"
-        )
-    out = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            if b.data.ndim == 2:
-                _accumulate(a, g @ b.data.T)
-            elif a.data.ndim == 2:  # (n,p) @ (p,) -> (n,): outer(g, b)
-                _defer_outer(a, g, b.data)
-            else:  # (p,) @ (p,) -> ()
-                _accumulate(a, g * b.data)
-        if b.requires_grad:
-            if b.data.ndim == 2:  # a.T @ g, or outer(a, g) for a vector a
-                _defer_outer(b, a.data, g)
-            elif a.data.ndim == 2:
-                _accumulate(b, a.data.T @ g)
-            else:
-                _accumulate(b, g * a.data)
-
-    return _result(out, (a, b), backward)
-
-
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b for x of shape (n, p) or (p,), w (p, q), b (q,)."""
+    """x @ w + b for x of shape (..., p), w (p, q) and b (q,), as one op;
+    the weight gradient is deferred to one GEMM (see ``_defer_outer``)."""
     if x.data.shape[-1] != w.data.shape[0]:
         raise AutodiffError(
             f"affine dimension mismatch: input {x.data.shape} vs weight {w.data.shape}"
         )
-    return add(matmul(x, w), b)
+    out = x.data @ w.data
+    out += b.data
+
+    def backward(g):
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T)
+        if w.requires_grad:
+            _defer_outer(w, x.data, g)
+        # The same axis-0 sums as add's, so bias gradients keep their bits.
+        _accumulate(b, _unbroadcast(g, b.data.shape))
+
+    return _result(out, (x, w, b), backward)
 
 
 def relu(a: Tensor) -> Tensor:

@@ -31,7 +31,7 @@ from .evaluation import evaluate_model, write_report
 from .graphs import build_graph, template_interpret, to_dot, to_json_dict, to_undirected
 from .model import GraphToSequenceModel
 from .optim import finite_difference_check, randomize_parameters
-from .parser import BoolOp, Condition, SqlParseError, SqlQuery, parse
+from .parser import SqlParseError, parse
 from .training import TrainingDivergedError, train, write_metrics_csv
 
 CONFIG_ENV_VAR = "SQL2TEXT_CONFIG"
@@ -114,24 +114,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _ast_dict(query: SqlQuery) -> dict:
-    def expr(e):
-        if isinstance(e, Condition):
-            return {
-                "column": e.column,
-                "comparator": e.comparator,
-                "value": {"kind": e.value.kind, "text": e.value.text},
-            }
-        assert isinstance(e, BoolOp)
-        return {"op": e.op, "children": [expr(c) for c in e.children]}
-
-    return {
-        "aggregation": query.aggregation,
-        "select_columns": list(query.select_columns),
-        "where": expr(query.where) if query.where is not None else None,
-    }
-
-
 def _iter_queries(args: argparse.Namespace) -> list[str]:
     if args.sql is not None:
         return [args.sql]
@@ -142,7 +124,7 @@ def _iter_queries(args: argparse.Namespace) -> list[str]:
 def cmd_parse(args: argparse.Namespace) -> int:
     for sql in _iter_queries(args):
         query = parse(sql, anonymize=args.anonymize)
-        print(json.dumps(_ast_dict(query), sort_keys=True))
+        print(json.dumps(asdict(query), sort_keys=True))
     return 0
 
 

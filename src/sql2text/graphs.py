@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .parser import BoolOp, Condition, LogicExpr, SqlQuery
+from .parser import _PLACEHOLDER_RE, BoolOp, Condition, LogicExpr, SqlQuery
 
 SUPER_TOKEN = "<super>"
 
@@ -80,7 +80,10 @@ def _column_tokens(name: str) -> tuple[str, ...]:
 
 
 def _constraint_tokens(cond: Condition) -> tuple[str, ...]:
-    return (cond.comparator, *cond.value.text.split())
+    text = cond.value.text
+    if cond.value.kind == "literal" and _PLACEHOLDER_RE.match(text):
+        text = f"'{text}'"  # quoted, so it differs from the placeholder itself
+    return (cond.comparator, *text.split())
 
 
 def build_graph(query: SqlQuery) -> QueryGraph:

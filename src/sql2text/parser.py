@@ -367,11 +367,12 @@ def parse(sql_text: str, anonymize: bool = False) -> SqlQuery:
 
 # --- rendering ---------------------------------------------------------------
 
-_BARE_RE = re.compile(r"^[a-z_][a-z0-9_.]*$|^-?\d+(?:\.\d+)?$")
+_BARE_RE = re.compile(r"^[a-z_][a-z0-9_.]*\Z|^-?\d+(?:\.\d+)?\Z")
+_RESERVED = _KEYWORDS | UNSUPPORTED_KEYWORDS
 
 
 def _render_column(name: str) -> str:
-    if _BARE_RE.match(name) and name not in _KEYWORDS and name not in UNSUPPORTED_KEYWORDS:
+    if _BARE_RE.match(name) and name not in _RESERVED:
         return name
     escaped = name.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'
@@ -380,7 +381,8 @@ def _render_column(name: str) -> str:
 def _render_value(value: ValueToken) -> str:
     if value.kind == "placeholder":
         return value.text
-    if _BARE_RE.match(value.text) and value.text not in _KEYWORDS:
+    # Bare text must not re-parse as a keyword or as a placeholder.
+    if _BARE_RE.match(value.text) and value.text not in _RESERVED and not _PLACEHOLDER_RE.match(value.text):
         return value.text
     escaped = value.text.replace("\\", "\\\\").replace("'", "\\'")
     return f"'{escaped}'"

@@ -133,7 +133,7 @@ class TestBackward:
     def test_sum_of_linear_map(self, f64):
         x = Tensor([[1.0, 2.0], [3.0, 4.0]])
         w = param([[1.0, 1.0], [1.0, 1.0]])
-        ad.tsum(ad.matmul(x, w)).backward()
+        ad.tsum(ad.affine(x, w, Tensor([0.0, 0.0]))).backward()
         assert np.allclose(w.grad, np.outer(x.data.sum(axis=0), [1.0, 1.0]))
 
     def test_unused_parameter_has_no_gradient(self, f64):
@@ -190,9 +190,12 @@ MASK = np.array([[True, True, False], [True, False, False], [True, True, True]])
 WEIGHTS = np.array([[0.3, -1.2, 0.8], [1.5, 0.4, -0.7], [-0.2, 0.9, 1.1]])
 
 OP_CASES = {
-    "matmul_2d2d": lambda p: ad.tsum(ad.matmul(p, p)),
-    "matmul_1d2d": lambda p: ad.tsum(ad.matmul(ad.gather(p, 0), p)),
-    "matmul_2d1d": lambda p: ad.tsum(ad.matmul(p, ad.gather(p, 1))),
+    "affine_2d2d": lambda p: ad.tsum(ad.affine(p, p, ad.gather(p, 1))),
+    "affine_1d2d": lambda p: ad.tsum(ad.affine(ad.gather(p, 0), p, ad.gather(p, 2))),
+    # A (b, n, p) input: the bias gradient sums over both leading axes.
+    "affine_3d_nonleaf_weight": lambda p: ad.tsum(
+        ad.tanh(ad.affine(ad.reshape(ad.tanh(p), (3, 1, 3)), ad.scale(p, 0.5), ad.gather(p, 0)))
+    ),
     "add_broadcast": lambda p: ad.tsum(p + ad.gather(p, 0)),
     "mul": lambda p: ad.tsum(ad.mul(p, p)),
     "scale": lambda p: ad.tsum(ad.scale(p, -2.5)),
@@ -209,16 +212,20 @@ OP_CASES = {
     ),
     "softmax": lambda p: ad.gather(ad.softmax(ad.gather(p, 1)), 0),
     "log_softmax": lambda p: ad.gather(ad.log_softmax(ad.gather(p, 1)), 2),
-    "neg_sub": lambda p: ad.tsum(p - ad.scale(p, 0.5)),
     # p receives deferred outer products from vector and matrix products.
-    "matmul_shared_weight": lambda p: (
-        ad.tsum(ad.tanh(ad.matmul(ad.gather(p, 0), p)) + ad.matmul(ad.gather(p, 2), p))
-        + ad.tsum(ad.matmul(ad.tanh(p), p))
+    "affine_shared_weight": lambda p: (
+        ad.tsum(
+            ad.tanh(ad.affine(ad.gather(p, 0), p, ad.gather(p, 1)))
+            + ad.affine(ad.gather(p, 2), p, ad.gather(p, 0))
+        )
+        + ad.tsum(ad.affine(ad.tanh(p), p, ad.gather(p, 2)))
     ),
     # Non-leaf matrices receive deferred pairs, then backpropagate them.
     "nonleaf_pairs": lambda p: (
-        ad.tsum(ad.tanh(ad.matmul(ad.softmax(ad.gather(p, 1)), ad.tanh(p))))
-        + ad.tsum(ad.tanh(ad.matmul(ad.gather(p, [2, 0]), ad.gather(p, 0))))
+        ad.tsum(ad.tanh(ad.affine(ad.softmax(ad.gather(p, 1)), ad.tanh(p), ad.gather(p, 0))))
+        + ad.tsum(ad.tanh(ad.affine(
+            ad.gather(p, [2, 0]), ad.reshape(ad.gather(p, 0), (3, 1)), ad.gather(ad.gather(p, 1), [2])
+        )))
     ),
     "row_repeated_index": lambda p: ad.tsum(
         ad.mul(ad.gather(p, 1), ad.gather(p, 1)) + ad.gather(p, 1)
@@ -279,12 +286,14 @@ class TestDeferredGradients:
         xs = [rng.normal(size=4) for _ in range(3)]
         cs = [rng.normal(size=3) for _ in range(3)]
         m, cm = rng.normal(size=(2, 4)), rng.normal(size=(2, 3))
-        loss = ad.tsum(ad.mul(ad.matmul(Tensor(m), w), Tensor(cm)))
+        b = param(rng.normal(size=3))
+        loss = ad.tsum(ad.mul(ad.affine(Tensor(m), w, b), Tensor(cm)))
         for x, c in zip(xs, cs):
-            loss = loss + ad.tsum(ad.mul(ad.matmul(Tensor(x), w), Tensor(c)))
+            loss = loss + ad.tsum(ad.mul(ad.affine(Tensor(x), w, b), Tensor(c)))
         loss.backward()
         dense = m.T @ cm + sum(np.outer(x, c) for x, c in zip(xs, cs))
         assert np.allclose(w.grad, dense, rtol=1e-12, atol=1e-12)
+        assert np.allclose(b.grad, cm.sum(axis=0) + sum(cs), rtol=1e-12, atol=1e-12)
 
     def test_repeated_row_lookups_sum(self, f64):
         embed = param(np.zeros((5, 2)))
@@ -297,7 +306,7 @@ class TestDeferredGradients:
 
     def test_untouched_parameters_keep_no_gradient(self, f64):
         embed, w, unused = param(np.ones((4, 2))), param(np.ones((2, 3))), param(np.ones((2, 3)))
-        ad.tsum(ad.matmul(ad.gather(embed, 2), w)).backward()
+        ad.tsum(ad.affine(ad.gather(embed, 2), w, Tensor(np.zeros(3)))).backward()
         assert embed.grad is not None and w.grad is not None
         assert unused.grad is None
 

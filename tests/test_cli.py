@@ -52,6 +52,19 @@ class TestParseCommand:
         assert ast["select_columns"] == ["company"]
         assert len(ast["where"]["children"]) == 4
 
+    def test_golden_nested_query_output(self, capsys):
+        sql = "SELECT MAX salary WHERE NOT (team = 'New York' OR pos = val1) AND age > 30"
+        code, out, _ = run(capsys, "parse", sql)
+        assert code == 0
+        assert out == (
+            '{"aggregation": "max", "select_columns": ["salary"], "where": {"children": '
+            '[{"children": [{"children": [{"column": "team", "comparator": "=", "value": '
+            '{"kind": "literal", "text": "new york"}}, {"column": "pos", "comparator": "=", '
+            '"value": {"kind": "placeholder", "text": "val_1"}}], "op": "or"}], "op": "not"}, '
+            '{"column": "age", "comparator": ">", "value": {"kind": "literal", "text": "30"}}], '
+            '"op": "and"}}\n'
+        )
+
     def test_malformed_input_exits_2(self, capsys):
         code, out, err = run(capsys, "parse", "SELECT WHERE")
         assert code == 2

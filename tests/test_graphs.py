@@ -202,7 +202,7 @@ def unfold(graph):
     def expr(v):
         if kind[v] == "column":
             (constraint,) = fwd[v]
-            return (text[v], text[constraint])
+            return (text[v], constraint_form(text[constraint]))
         return (text[v], tuple(sorted((expr(u) for u in fwd[v] if u != select), key=repr)))
 
     aggs = [u for u in fwd[select] if kind[u] == "aggregation"]
@@ -218,13 +218,23 @@ def unfold(graph):
     return (text[aggs[0]] if aggs else None, tuple(columns), where[0] if where else None)
 
 
+def constraint_form(text):
+    """(comparator, value kind, *value words) read back from a constraint
+    node's text: a placeholder is a bare val_N, and a literal spelled like
+    one is quoted."""
+    comparator, *words = text
+    if len(words) == 1 and re.fullmatch(r"'val_?\d+'", words[0]):
+        return (comparator, "literal", words[0][1:-1])
+    placeholder = len(words) == 1 and re.fullmatch(r"val_\d+", words[0])
+    return (comparator, "placeholder" if placeholder else "literal", *words)
+
+
 def canonical(query: SqlQuery):
-    """The same form computed from the AST (value kinds dropped, as the
-    graph keeps only value text)."""
+    """The same form computed from the AST."""
 
     def expr(e):
         if isinstance(e, Condition):
-            return (tuple(e.column.split()), (e.comparator, *e.value.text.split()))
+            return (tuple(e.column.split()), (e.comparator, e.value.kind, *e.value.text.split()))
         return ((e.op,), tuple(sorted((expr(c) for c in e.children), key=repr)))
 
     return (
@@ -249,6 +259,13 @@ class TestNestedLogic:
                 if node.kind == "operator":
                     children = [u for u in fwd[node.id] if u != select.id]
                     assert len(children) == (1 if node.text == ("not",) else 2)
+
+    def test_literal_spelled_like_placeholder_gets_its_own_graph(self):
+        literal = build_graph(parse("SELECT a WHERE b = 'val_0'"))
+        placeholder = build_graph(parse("SELECT a WHERE b = val_0"))
+        assert literal.nodes[-1].text == ("=", "'val_0'")
+        assert placeholder.nodes[-1].text == ("=", "val_0")
+        assert literal != placeholder
 
     @settings(deadline=None, max_examples=300)
     @given(_queries)

@@ -220,8 +220,8 @@ class TestFiniteDifferenceCheck:
         x = np.linspace(-1.0, 1.0, 8).reshape(2, 4)
 
         def loss(s):
-            hidden = ad.tanh(ad.matmul(Tensor(x), s["w1"]))
-            return ad.tsum(ad.sigmoid(ad.matmul(hidden, s["w2"])))
+            hidden = ad.tanh(ad.affine(Tensor(x), s["w1"], Tensor(np.zeros(5))))
+            return ad.tsum(ad.sigmoid(ad.affine(hidden, s["w2"], Tensor(np.zeros(3)))))
 
         err = finite_difference_check(loss, store, samples=35, rng=np.random.default_rng(2))
         assert err < 1e-3
@@ -235,8 +235,8 @@ class TestFiniteDifferenceCheck:
         x = np.linspace(-1.0, 1.0, 8).reshape(2, 4)
 
         def loss(s):
-            hidden = ad.tanh(ad.matmul(Tensor(x), s["w1"]))
-            return ad.tsum(ad.sigmoid(ad.matmul(hidden, s["w2"])))
+            hidden = ad.tanh(ad.affine(Tensor(x), s["w1"], Tensor(np.zeros(5))))
+            return ad.tsum(ad.sigmoid(ad.affine(hidden, s["w2"], Tensor(np.zeros(3)))))
 
         err = finite_difference_check(loss, store, samples=35, rng=np.random.default_rng(2))
         assert err < 1e-6
@@ -250,7 +250,7 @@ def test_fixed_seed_step_sequence_is_bitwise_reproducible():
         state = AdamState(lr=0.01)
         x = Tensor(np.arange(9.0).reshape(3, 3) / 10.0)
         for _ in range(5):
-            loss = ad.tsum(ad.tanh(ad.matmul(x, store["w"])))
+            loss = ad.tsum(ad.tanh(ad.affine(x, store["w"], Tensor(np.zeros(3)))))
             loss.backward()
             clip_gradients(store, 20.0)
             adam_step(store, state)

@@ -196,7 +196,7 @@ _columns = st.sampled_from(["a", "b", "company", "name_1", "two words", "assets"
 _comparators = st.sampled_from(["=", "!=", "<", ">", "<=", ">="])
 _values = st.one_of(
     st.integers(0, 3).map(lambda i: ValueToken("placeholder", f"val_{i}")),
-    st.sampled_from(["5", "12.5", "tokyo", "new york", "x1"]).map(
+    st.sampled_from(["5", "12.5", "tokyo", "new york", "x1", "val_0", "val3", "from", "x\n"]).map(
         lambda t: ValueToken("literal", t)
     ),
 )

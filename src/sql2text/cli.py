@@ -202,9 +202,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     tolerances = {"float32": 1e-3, "float64": 1e-6}
     status = 0
     for precision in precisions:
-        model = GraphToSequenceModel(
-            src_vocab, tgt_vocab, replace(config, precision=precision), seed=config.seed
-        )
+        model = GraphToSequenceModel(src_vocab, tgt_vocab, replace(config, precision=precision))
         randomize_parameters(model.store, np.random.default_rng(config.seed + 1))
         graph = model.prepare(sql)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .parser import _PLACEHOLDER_RE, BoolOp, Condition, LogicExpr, SqlQuery
+from .parser import _PLACEHOLDER_RE, BoolOp, Condition, LogicExpr, SqlQuery, _escape
 
 SUPER_TOKEN = "<super>"
 
@@ -80,10 +80,14 @@ def _column_tokens(name: str) -> tuple[str, ...]:
 
 
 def _constraint_tokens(cond: Condition) -> tuple[str, ...]:
+    """The comparator, then the value split on single spaces: a literal escaped
+    as the renderer escapes it, and quoted when spelled like a placeholder."""
     text = cond.value.text
-    if cond.value.kind == "literal" and _PLACEHOLDER_RE.match(text):
-        text = f"'{text}'"  # quoted, so it differs from the placeholder itself
-    return (cond.comparator, *text.split())
+    if cond.value.kind == "literal":
+        text = _escape(text, "'")
+        if _PLACEHOLDER_RE.match(text):
+            text = f"'{text}'"
+    return (cond.comparator, *text.split(" "))
 
 
 def build_graph(query: SqlQuery) -> QueryGraph:

@@ -22,13 +22,12 @@ class GraphToSequenceModel:
         src_vocab: Vocabulary,
         tgt_vocab: Vocabulary,
         config: TrainConfig,
-        seed: int = 0,
     ):
         self.src_vocab = src_vocab
         self.tgt_vocab = tgt_vocab
         self.config = config
         self.store = ParameterStore()
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(config.seed)
         with default_dtype(config.precision):
             build_encoder_params(self.store, len(src_vocab), config, rng)
             build_decoder_params(self.store, len(tgt_vocab), config, rng)

@@ -7,16 +7,21 @@ Supported shape::
 
 Conditions are ``column <cmp> value`` with comparators ``=  !=  <>  <  >
 <=  >=`` (plus their unicode forms), combined with AND/OR/NOT and
-parentheses.  Keywords are case-insensitive; identifiers are lowercased.
-Multi-word column names go in double quotes, string values in single
-quotes.  JOIN, ORDER BY and friends are deliberately rejected.
+parentheses, nested at most ``_MAX_DEPTH`` levels deep.  Keywords are
+case-insensitive; identifiers are lowercased.  Multi-word column names go
+in double quotes, string values in single quotes.  JOIN, ORDER BY and
+friends are deliberately rejected.
+
+The tokenizer is one regex pass that records character offsets; only a
+``SqlParseError`` converts its offset to bytes of the UTF-8 input.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from functools import partial
+from typing import Iterable, NamedTuple, NoReturn, Optional, Union
 
 AGGREGATIONS = ("count", "max", "min", "sum", "avg")
 COMPARATORS = ("=", "!=", "<", ">", "<=", ">=")
@@ -116,31 +121,40 @@ def flatten(op: str, children: Iterable[LogicExpr]) -> LogicExpr:
 
 # --- tokenizer -------------------------------------------------------------
 
+# One match per token: leading whitespace, then exactly one named group.
+# ``eof`` matches only at the end of the input and ``bad`` any character
+# that starts no token.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<cmp><=|>=|<>|!=|=|<|>|≠|≤|≥)
-  | (?P<comma>,)
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-  | (?P<dquote>"(?:[^"\\]|\\.)*")
-  | (?P<squote>'(?:[^'\\]|\\.)*')
-  | (?P<number>-?\d+(?:\.\d+)?)
-  | (?P<word>[A-Za-z_][A-Za-z0-9_.]*)
+    \s*(?:
+        (?P<cmp><=|>=|<>|!=|=|<|>|≠|≤|≥)
+      | (?P<comma>,)
+      | (?P<lparen>\()
+      | (?P<rparen>\))
+      | (?P<ident>"(?:[^"\\]|\\.)*")
+      | (?P<string>'(?:[^'\\]|\\.)*')
+      | (?P<number>-?\d+(?:\.\d+)?)
+      | (?P<word>[A-Za-z_][A-Za-z0-9_.]*)
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )
     """,
     re.VERBOSE,
 )
 
 _CMP_CANONICAL = {"<>": "!=", "≠": "!=", "≤": "<=", "≥": ">="}
 
-_KEYWORDS = frozenset({"select", "where", "and", "or", "not", *AGGREGATIONS})
+_WORD_KINDS = {
+    **dict.fromkeys(("select", "where", "and", "or", "not"), "keyword"),
+    **dict.fromkeys(AGGREGATIONS, "aggregation"),
+    **dict.fromkeys(UNSUPPORTED_KEYWORDS, "unsupported"),
+}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # keyword | ident | number | string | cmp | comma | lparen | rparen | eof
+class _Token(NamedTuple):
+    kind: str  # a group name of _TOKEN_RE, or a _WORD_KINDS value for a word
     text: str
-    offset: int  # byte offset into the utf-8 encoding of the input
+    pos: int  # character offset into the input
 
 
 def _byte_offset(text: str, pos: int) -> int:
@@ -149,165 +163,144 @@ def _byte_offset(text: str, pos: int) -> int:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise SqlParseError(
-                f"unexpected character {text[pos]!r}", _byte_offset(text, pos)
-            )
-        offset = _byte_offset(text, pos)
-        if m.lastgroup == "ws":
-            pass
-        elif m.lastgroup == "cmp":
-            raw = m.group()
-            tokens.append(_Token("cmp", _CMP_CANONICAL.get(raw, raw), offset))
-        elif m.lastgroup == "comma":
-            tokens.append(_Token("comma", ",", offset))
-        elif m.lastgroup == "lparen":
-            tokens.append(_Token("lparen", "(", offset))
-        elif m.lastgroup == "rparen":
-            tokens.append(_Token("rparen", ")", offset))
-        elif m.lastgroup == "dquote":
-            inner = m.group()[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-            tokens.append(_Token("ident", inner.lower(), offset))
-        elif m.lastgroup == "squote":
-            inner = m.group()[1:-1].replace("\\'", "'").replace("\\\\", "\\")
-            tokens.append(_Token("string", inner.lower(), offset))
-        elif m.lastgroup == "number":
-            tokens.append(_Token("number", m.group(), offset))
-        else:
-            word = m.group().lower()
-            if word in _KEYWORDS:
-                tokens.append(_Token("keyword", word, offset))
-            elif word in UNSUPPORTED_KEYWORDS:
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        value, pos = m.group(kind), m.start(kind)
+        if kind == "cmp":
+            value = _CMP_CANONICAL.get(value, value)
+        elif kind == "ident" or kind == "string":
+            quote = value[0]
+            value = value[1:-1].replace("\\" + quote, quote).replace("\\\\", "\\").lower()
+        elif kind == "word":
+            value = value.lower()
+            kind = _WORD_KINDS.get(value, "ident")
+            if kind == "unsupported":
                 raise UnsupportedSyntaxError(
-                    f"unsupported syntax: {word.upper()} is outside the dialect", offset
+                    f"unsupported syntax: {value.upper()} is outside the dialect",
+                    _byte_offset(text, pos),
                 )
-            else:
-                tokens.append(_Token("ident", word, offset))
-        pos = m.end()
-    tokens.append(_Token("eof", "", _byte_offset(text, len(text))))
+        elif kind == "bad":
+            raise SqlParseError(f"unexpected character {value!r}", _byte_offset(text, pos))
+        tokens.append(_Token(kind, value, pos))
+        if kind == "eof":
+            break
     return tokens
 
 
 # --- recursive-descent parser ----------------------------------------------
 
+# Deepest nesting accepted, of parentheses in the text and of logical operators
+# in the AST: the parser and each walk over the AST recurse once per level.
+_MAX_DEPTH = 100
+
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.i = 0
+        self.parens = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
 
-    def advance(self) -> _Token:
+    def accept(self, kind: str, text: Optional[str] = None) -> Optional[_Token]:
+        """Consume and return the next token if it has this kind (and text)."""
         tok = self.tokens[self.i]
-        if tok.kind != "eof":
+        if tok.kind == kind and (text is None or tok.text == text):
             self.i += 1
-        return tok
+            return tok
+        return None
 
-    def fail(self, message: str, expected: tuple[str, ...] = ()) -> None:
-        raise SqlParseError(message, self.peek().offset, expected)
+    def fail(
+        self, message: str, expected: tuple[str, ...] = (), at: Optional[_Token] = None
+    ) -> NoReturn:
+        """Raise at token ``at``, by default at the next token."""
+        pos = (at or self.peek()).pos
+        raise SqlParseError(message, _byte_offset(self.text, pos), expected)
 
     def query(self) -> SqlQuery:
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text == "select":
-            self.advance()
-        elif not (tok.kind == "keyword" and tok.text in AGGREGATIONS):
-            self.fail(
-                f"expected SELECT, found {tok.text or 'end of input'!r}", ("SELECT",)
-            )
-        aggregation = None
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text in AGGREGATIONS:
-            aggregation = tok.text
-            self.advance()
+        select = self.accept("keyword", "select")
+        aggregation = self.accept("aggregation")
+        if not (select or aggregation):
+            self.fail(f"expected SELECT, found {self.peek().text or 'end of input'!r}", ("SELECT",))
         columns = self.select_list()
-        where = None
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text == "where":
-            self.advance()
-            where = self.or_expr()
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.fail(f"trailing input {tok.text!r}", ("end of input",))
-        return SqlQuery(aggregation, tuple(columns), where)
+        where = self.logic("or")[0] if self.accept("keyword", "where") else None
+        if self.peek().kind != "eof":
+            self.fail(f"trailing input {self.peek().text!r}", ("end of input",))
+        return SqlQuery(aggregation and aggregation.text, tuple(columns), where)
 
     def select_list(self) -> list[str]:
         # An aggregation may wrap its columns in parentheses: COUNT(player).
-        parenthesized = False
-        if self.peek().kind == "lparen":
-            parenthesized = True
-            self.advance()
+        parenthesized = self.accept("lparen")
         columns = [self.column_name()]
-        while self.peek().kind == "comma":
-            self.advance()
+        while self.accept("comma"):
             columns.append(self.column_name())
-        if parenthesized:
-            if self.peek().kind != "rparen":
-                self.fail("unbalanced parentheses in select list", (")",))
-            self.advance()
+        if parenthesized and not self.accept("rparen"):
+            self.fail("unbalanced parentheses in select list", (")",))
         return columns
 
     def column_name(self) -> str:
-        tok = self.peek()
-        if tok.kind not in ("ident", "number"):
-            self.fail(
-                f"expected a column name, found {tok.text or 'end of input'!r}",
-                ("column name",),
-            )
-        self.advance()
+        tok = self.accept("ident") or self.accept("number")
+        if tok is None:
+            found = self.peek().text or "end of input"
+            self.fail(f"expected a column name, found {found!r}", ("column name",))
         name = tok.text.strip()
         if not name:
             self.fail("empty column name", ("column name",))
         return name
 
-    def or_expr(self) -> LogicExpr:
-        terms = [self.and_expr()]
-        while self.peek().kind == "keyword" and self.peek().text == "or":
-            self.advance()
-            terms.append(self.and_expr())
-        return flatten("or", terms)
+    def check_depth(self, depth: int, tok: _Token) -> None:
+        if depth > _MAX_DEPTH:
+            self.fail(f"query nested deeper than {_MAX_DEPTH} levels", at=tok)
 
-    def and_expr(self) -> LogicExpr:
-        terms = [self.not_expr()]
-        while self.peek().kind == "keyword" and self.peek().text == "and":
-            self.advance()
-            terms.append(self.not_expr())
-        return flatten("and", terms)
+    def logic(self, op: str) -> tuple[LogicExpr, int]:
+        """An OR of AND terms (op "or") or an AND of NOT terms (op "and"), and,
+        as from not_expr and primary, its operator depth (0 for a condition)."""
+        term = partial(self.logic, "and") if op == "or" else self.not_expr
+        terms, ops = [term()], []
+        while tok := self.accept("keyword", op):
+            ops.append(tok)
+            terms.append(term())
+        if not ops:
+            return terms[0]
+        # flatten() lifts the children of a same-operator term one level up.
+        depth = max(d if isinstance(e, BoolOp) and e.op == op else d + 1 for e, d in terms)
+        self.check_depth(depth, ops[0])
+        return flatten(op, [e for e, _ in terms]), depth
 
-    def not_expr(self) -> LogicExpr:
-        if self.peek().kind == "keyword" and self.peek().text == "not":
-            self.advance()
-            return BoolOp("not", (self.not_expr(),))
-        return self.primary()
+    def not_expr(self) -> tuple[LogicExpr, int]:
+        nots = []
+        while tok := self.accept("keyword", "not"):
+            nots.append(tok)
+        expr, depth = self.primary()
+        for tok in reversed(nots):
+            depth += 1
+            self.check_depth(depth, tok)
+            expr = BoolOp("not", (expr,))
+        return expr, depth
 
-    def primary(self) -> LogicExpr:
-        if self.peek().kind == "lparen":
-            self.advance()
-            inner = self.or_expr()
-            if self.peek().kind != "rparen":
-                self.fail("unbalanced parentheses", (")",))
-            self.advance()
-            return inner
-        return self.condition()
+    def primary(self) -> tuple[LogicExpr, int]:
+        tok = self.accept("lparen")
+        if tok is None:
+            return self.condition(), 0
+        self.parens += 1
+        self.check_depth(self.parens, tok)
+        inner = self.logic("or")
+        if not self.accept("rparen"):
+            self.fail("unbalanced parentheses", (")",))
+        self.parens -= 1
+        return inner
 
     def condition(self) -> Condition:
         column = self.column_name()
-        tok = self.peek()
-        if tok.kind != "cmp":
-            self.fail(
-                f"expected a comparator after {column!r}", COMPARATORS
-            )
-        comparator = self.advance().text
-        tok = self.peek()
-        if tok.kind in ("ident", "number", "string"):
-            self.advance()
-            return Condition(column, comparator, _value_token(tok))
-        self.fail("dangling comparator: expected a value", ("value",))
-        raise AssertionError("unreachable")
+        comparator = self.accept("cmp")
+        if comparator is None:
+            self.fail(f"expected a comparator after {column!r}", COMPARATORS)
+        tok = self.accept("ident") or self.accept("number") or self.accept("string")
+        if tok is None:
+            self.fail("dangling comparator: expected a value", ("value",))
+        return Condition(column, comparator.text, _value_token(tok))
 
 
 def _value_token(tok: _Token) -> ValueToken:
@@ -359,7 +352,7 @@ def parse(sql_text: str, anonymize: bool = False) -> SqlQuery:
     dialect.  With ``anonymize`` set, distinct literal values become
     val_0, val_1, ... in first-occurrence order.
     """
-    query = _Parser(_tokenize(sql_text)).query()
+    query = _Parser(sql_text).query()
     if anonymize:
         query = _anonymize(query)
     return query
@@ -368,14 +361,19 @@ def parse(sql_text: str, anonymize: bool = False) -> SqlQuery:
 # --- rendering ---------------------------------------------------------------
 
 _BARE_RE = re.compile(r"^[a-z_][a-z0-9_.]*\Z|^-?\d+(?:\.\d+)?\Z")
-_RESERVED = _KEYWORDS | UNSUPPORTED_KEYWORDS
+_RESERVED = frozenset(_WORD_KINDS)
+
+
+def _escape(text: str, quote: str) -> str:
+    """Text to go between two ``quote`` characters: backslashes doubled,
+    quotes backslash-escaped."""
+    return text.replace("\\", "\\\\").replace(quote, "\\" + quote)
 
 
 def _render_column(name: str) -> str:
     if _BARE_RE.match(name) and name not in _RESERVED:
         return name
-    escaped = name.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
+    return '"' + _escape(name, '"') + '"'
 
 
 def _render_value(value: ValueToken) -> str:
@@ -384,8 +382,7 @@ def _render_value(value: ValueToken) -> str:
     # Bare text must not re-parse as a keyword or as a placeholder.
     if _BARE_RE.match(value.text) and value.text not in _RESERVED and not _PLACEHOLDER_RE.match(value.text):
         return value.text
-    escaped = value.text.replace("\\", "\\\\").replace("'", "\\'")
-    return f"'{escaped}'"
+    return "'" + _escape(value.text, "'") + "'"
 
 
 def _render_expr(expr: LogicExpr, parenthesize: bool = False) -> str:

@@ -77,7 +77,7 @@ def train(
 
     src_vocab, tgt_vocab = build_vocab(train_pairs, min_freq=config.min_freq)
     seeds = np.random.SeedSequence(config.seed).spawn(3)
-    model = GraphToSequenceModel(src_vocab, tgt_vocab, config, seed=config.seed)
+    model = GraphToSequenceModel(src_vocab, tgt_vocab, config)
     coverage = None
     if config.pretrained_vectors:
         coverage = load_pretrained_vectors(

@@ -79,7 +79,7 @@ def _gradcheck_fixture(precision: str):
     config = TrainConfig(
         word_dim=6, hidden=6, hop_size=2, dropout=0.0, precision=precision
     )
-    model = GraphToSequenceModel(src, tgt, config, seed=0)
+    model = GraphToSequenceModel(src, tgt, config)
     randomize_parameters(model.store, np.random.default_rng(1))
     graph = model.prepare(sql)
     assert len(graph.nodes) == 3
@@ -225,7 +225,7 @@ def test_criterion_07_decoder_equivalences():
     target = tokenize_text(GOLDEN_SENTENCE)
     src, tgt = build_vocab([ExamplePair(GOLDEN_QUERY, target)])
     config = TrainConfig(word_dim=6, hidden=6, hop_size=1, dropout=0.0, max_decode_len=12)
-    model = GraphToSequenceModel(src, tgt, config, seed=0)
+    model = GraphToSequenceModel(src, tgt, config)
     graph = model.prepare(GOLDEN_QUERY)
     for seed in range(50):
         randomize_parameters(model.store, np.random.default_rng(seed), scale=1.0)
@@ -322,7 +322,7 @@ def test_criterion_10_ablation_levers():
     src, tgt = build_vocab([ExamplePair(GOLDEN_QUERY, target)])
 
     directed_model = GraphToSequenceModel(
-        src, tgt, TrainConfig(word_dim=6, hidden=6, hop_size=2, dropout=0.0), seed=0
+        src, tgt, TrainConfig(word_dim=6, hidden=6, hop_size=2, dropout=0.0)
     )
     randomize_parameters(directed_model.store, np.random.default_rng(21))
     graph = build_graph(parse(GOLDEN_QUERY))
@@ -333,7 +333,6 @@ def test_criterion_10_ablation_levers():
     supernode_model = GraphToSequenceModel(
         src, tgt,
         TrainConfig(word_dim=6, hidden=6, hop_size=2, dropout=0.0, ge_method="supernode"),
-        seed=0,
     )
     randomize_parameters(supernode_model.store, np.random.default_rng(21))
     *_, supernode_ge = supernode_model.encode_graphs([graph])

@@ -43,7 +43,7 @@ def make_model(dropout=0.0, **overrides):
     config = TrainConfig(
         word_dim=5, hidden=4, hop_size=2, dropout=dropout, precision="float64", **overrides
     )
-    model = GraphToSequenceModel(src, tgt, config, seed=0)
+    model = GraphToSequenceModel(src, tgt, config)
     randomize_parameters(model.store, np.random.default_rng(1))
     graphs = [model.prepare(s) for s in SQLS]
     return model, graphs, [p.target for p in pairs]

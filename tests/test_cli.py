@@ -5,7 +5,7 @@ import pytest
 from sql2text import cli
 from sql2text.cli import CONFIG_ENV_VAR, build_arg_parser, main
 from sql2text.graphs import template_interpret
-from sql2text.parser import parse
+from sql2text.parser import _MAX_DEPTH, parse
 from sql2text.training import TrainConfig
 
 EXAMPLE_QUERY = (
@@ -70,6 +70,13 @@ class TestParseCommand:
         assert code == 2
         assert out == ""
         assert "parse error" in err
+
+    def test_nesting_past_the_bound_exits_2(self, capsys):
+        deep = "SELECT a WHERE " + "(" * (_MAX_DEPTH + 1) + "b = 1" + ")" * (_MAX_DEPTH + 1)
+        code, out, err = run(capsys, "parse", deep)
+        assert code == 2
+        assert out == ""
+        assert f"nested deeper than {_MAX_DEPTH} levels" in err
 
     def test_file_input_one_json_line_each(self, capsys, tmp_path):
         path = tmp_path / "queries.txt"

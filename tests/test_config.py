@@ -4,9 +4,10 @@ immutability, the estimator's parameters and older checkpoint configs."""
 import hashlib
 import json
 import math
-from dataclasses import FrozenInstanceError, asdict
+from dataclasses import FrozenInstanceError, asdict, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sql2text.checkpoint import (
@@ -58,7 +59,7 @@ INVALID = [
 @pytest.fixture(scope="module")
 def model():
     src, tgt = build_vocab([ExamplePair(s, tokenize_text(t)) for s, t in zip(SQLS, TEXTS)])
-    return GraphToSequenceModel(src, tgt, TrainConfig(**SMALL, length_norm_alpha=0.5), seed=3)
+    return GraphToSequenceModel(src, tgt, TrainConfig(**SMALL, length_norm_alpha=0.5, seed=3))
 
 
 @pytest.mark.parametrize("key, value", INVALID, ids=[f"{k}={v!r}" for k, v in INVALID])
@@ -110,6 +111,17 @@ def test_unknown_estimator_argument_is_type_error():
 
 def test_checkpoint_stores_all_config_keys(model):
     assert ModelCheckpoint.from_model(model).config == asdict(model.config)
+
+
+def test_initial_weights_come_from_the_config_seed(model):
+    def weights(config):
+        store = GraphToSequenceModel(model.src_vocab, model.tgt_vocab, config).store
+        return store.state_arrays()
+
+    same, other = weights(model.config), weights(replace(model.config, seed=4))
+    assert all(np.array_equal(same[k], v) for k, v in model.store.state_arrays().items())
+    assert any(not np.array_equal(other[k], v) for k, v in same.items())
+    assert ModelCheckpoint.from_model(model).config["seed"] == 3
 
 
 def test_model_keys_only_checkpoint_restores(model, tmp_path):

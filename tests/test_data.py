@@ -18,7 +18,7 @@ from sql2text.data import (
     tokenize_text,
 )
 from sql2text.graphs import SUPER_TOKEN, build_graph
-from sql2text.parser import parse
+from sql2text.parser import _MAX_DEPTH, parse
 
 
 def write_jsonl(path, records):
@@ -49,6 +49,19 @@ class TestIngest:
         assert len(result.pairs) == 1
         assert result.skip_count == 1
         assert result.skipped[0][0] == 1
+
+    def test_too_deeply_nested_sql_skipped_with_reason(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        deep = "SELECT a WHERE " + "(" * (_MAX_DEPTH + 1) + "b = 1" + ")" * (_MAX_DEPTH + 1)
+        write_jsonl(path, [
+            {"sql": "SELECT name", "text": "which name"},
+            {"sql": deep, "text": "which a where b equals 1"},
+        ])
+        result = ingest_dataset(path)
+        assert len(result.pairs) == 1
+        (line_no, reason), = result.skipped
+        assert line_no == 2
+        assert f"nested deeper than {_MAX_DEPTH} levels" in reason
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "data.jsonl"

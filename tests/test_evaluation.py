@@ -138,8 +138,8 @@ class TestSentenceBleu:
 
 def tiny_model(pairs, seed=0):
     src, tgt = build_vocab(pairs)
-    cfg = TrainConfig(word_dim=8, hidden=8, hop_size=1, dropout=0.0, max_decode_len=8)
-    return GraphToSequenceModel(src, tgt, cfg, seed=seed)
+    cfg = TrainConfig(word_dim=8, hidden=8, hop_size=1, dropout=0.0, max_decode_len=8, seed=seed)
+    return GraphToSequenceModel(src, tgt, cfg)
 
 
 class TestEvaluateModel:

@@ -219,14 +219,16 @@ def unfold(graph):
 
 
 def constraint_form(text):
-    """(comparator, value kind, *value words) read back from a constraint
-    node's text: a placeholder is a bare val_N, and a literal spelled like
-    one is quoted."""
+    """(comparator, value kind, value text) read back from a constraint
+    node's text: a placeholder is a bare val_N; a literal is split on single
+    spaces, backslash-escaped, and quoted when spelled like a placeholder."""
     comparator, *words = text
-    if len(words) == 1 and re.fullmatch(r"'val_?\d+'", words[0]):
-        return (comparator, "literal", words[0][1:-1])
-    placeholder = len(words) == 1 and re.fullmatch(r"val_\d+", words[0])
-    return (comparator, "placeholder" if placeholder else "literal", *words)
+    value = " ".join(words)
+    if re.fullmatch(r"val_\d+", value):
+        return (comparator, "placeholder", value)
+    if value.startswith("'"):
+        value = value[1:-1]
+    return (comparator, "literal", re.sub(r"\\(.)", r"\1", value, flags=re.DOTALL))
 
 
 def canonical(query: SqlQuery):
@@ -234,7 +236,7 @@ def canonical(query: SqlQuery):
 
     def expr(e):
         if isinstance(e, Condition):
-            return (tuple(e.column.split()), (e.comparator, e.value.kind, *e.value.text.split()))
+            return (tuple(e.column.split()), (e.comparator, e.value.kind, e.value.text))
         return ((e.op,), tuple(sorted((expr(c) for c in e.children), key=repr)))
 
     return (
@@ -266,6 +268,19 @@ class TestNestedLogic:
         assert literal.nodes[-1].text == ("=", "'val_0'")
         assert placeholder.nodes[-1].text == ("=", "val_0")
         assert literal != placeholder
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            ("SELECT a WHERE b = 'new  york'", "SELECT a WHERE b = 'new york'"),
+            ("SELECT a WHERE b = '\\'val_0\\''", "SELECT a WHERE b = 'val_0'"),
+            ("SELECT a WHERE b = '  '", "SELECT a WHERE b = ''"),
+        ],
+    )
+    def test_distinct_literals_get_distinct_constraint_nodes(self, first, second):
+        assert parse(first) != parse(second)
+        texts = [[n.text for n in build_graph(parse(sql)).nodes] for sql in (first, second)]
+        assert texts[0] != texts[1]
 
     @settings(deadline=None, max_examples=300)
     @given(_queries)

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sql2text.graphs import build_graph, template_interpret
 from sql2text.parser import (
+    _MAX_DEPTH,
     BoolOp,
     Condition,
     SqlParseError,
@@ -190,15 +192,68 @@ class TestRender:
         assert render(q) == 'select "gross assets"'
 
 
+WHERE = "SELECT a WHERE "
+
+
+def nested_parens(n):
+    return WHERE + "(" * n + "b = 1" + ")" * n
+
+
+def nested_nots(n):
+    return WHERE + "NOT " * n + "b = 1"
+
+
+def nested_not_parens(n):
+    return WHERE + "NOT (" * n + "b = 1" + ")" * n
+
+
+def nested_and_or(n):
+    """Operator depth n from AND/OR alone: one parenthesis per two levels."""
+    text = WHERE + "c = 1 AND (d = 2 OR " * (n // 2) + "b = 1" + ")" * (n // 2)
+    return text + " OR e = 3" if n % 2 else text
+
+
+class TestNesting:
+    @pytest.mark.parametrize("make", [nested_parens, nested_nots, nested_not_parens, nested_and_or])
+    def test_query_at_the_bound_parses_and_round_trips(self, make):
+        query = parse(make(_MAX_DEPTH))
+        assert parse(render(query)) == query
+        assert build_graph(query).nodes
+        assert template_interpret(query).startswith("which a where")
+
+    @pytest.mark.parametrize(
+        "make,offset",
+        [
+            # the parenthesis that opens level _MAX_DEPTH + 1
+            (nested_parens, len(WHERE) + _MAX_DEPTH),
+            (nested_not_parens, len(WHERE) + 5 * _MAX_DEPTH + len("NOT ")),
+            # the keyword of the operator at depth _MAX_DEPTH + 1
+            (nested_nots, len(WHERE)),
+            (nested_and_or, nested_and_or(_MAX_DEPTH + 1).rindex(" OR ") + 1),
+        ],
+    )
+    def test_one_level_deeper_is_rejected_at_its_offset(self, make, offset):
+        with pytest.raises(SqlParseError) as err:
+            parse(make(_MAX_DEPTH + 1))
+        assert err.value.offset == offset
+        assert f"nested deeper than {_MAX_DEPTH} levels" in str(err.value)
+
+    @pytest.mark.parametrize("make", [nested_parens, nested_nots, nested_and_or])
+    def test_far_deeper_nesting_is_a_parse_error(self, make):
+        with pytest.raises(SqlParseError):
+            parse(make(5000))
+
+
 # --- property tests ----------------------------------------------------------
 
 _columns = st.sampled_from(["a", "b", "company", "name_1", "two words", "assets"])
 _comparators = st.sampled_from(["=", "!=", "<", ">", "<=", ">="])
 _values = st.one_of(
     st.integers(0, 3).map(lambda i: ValueToken("placeholder", f"val_{i}")),
-    st.sampled_from(["5", "12.5", "tokyo", "new york", "x1", "val_0", "val3", "from", "x\n"]).map(
-        lambda t: ValueToken("literal", t)
-    ),
+    st.sampled_from(
+        ["5", "12.5", "tokyo", "new york", "new  york", "x1", "val_0", "val3", "'val_0'",
+         "from", "x\n", "a\tb", "  ", ""]
+    ).map(lambda t: ValueToken("literal", t)),
 )
 _conditions = st.builds(Condition, _columns, _comparators, _values)
 

@@ -21,6 +21,11 @@ gradient in one GEMM and all stored rows in one scatter-add.  So each
 weight gradient is built once per backward, and an embedding's cost does
 not grow with the vocabulary.
 
+:meth:`Tensor.backward` consumes the graph it sweeps, freeing each
+activation and intermediate gradient once passed; only leaf gradients
+(parameters, or tensors the user made) remain, and they accumulate
+across ``backward()`` calls until reset.
+
 Grad mode (:func:`no_grad`) and the default dtype are context variables:
 each thread starts from the defaults and switching them in one thread
 never affects another.
@@ -73,8 +78,8 @@ class Tensor:
     """Dense real array participating in reverse-mode differentiation.
 
     ``data`` is a row-major ndarray, ``grad`` (same shape, allocated on
-    demand) accumulates partial derivatives across calls to
-    :meth:`backward` until explicitly reset.
+    demand) holds partial derivatives; a leaf, which has no backward
+    closure, accumulates them across calls to :meth:`backward`.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_pairs", "_rows")
@@ -92,10 +97,13 @@ class Tensor:
         return float(self.data)
 
     def backward(self) -> None:
-        """Populate ``grad`` on every reachable tensor with requires_grad.
+        """Add to ``grad`` on every reachable leaf with requires_grad, and
+        consume the graph: each non-leaf tensor drops its gradient, backward
+        closure and parents once its own backward has run.
 
-        The receiver must be a scalar.  Repeated calls without resetting
-        gradients accumulate.
+        The receiver must be a scalar.  A backward that reaches a consumed
+        tensor (a second call on one loss, or a new loss built on a consumed
+        intermediate) raises AutodiffError before any gradient changes.
         """
         if self.data.size != 1:
             raise AutodiffError(
@@ -103,12 +111,18 @@ class Tensor:
             )
         order = _toposort(self)
         _accumulate(self, np.ones_like(self.data))
-        for node in reversed(order):
+        while order:
+            node = order.pop()  # so the list no longer pins the node
             # Every consumer of node has run, so its deferred terms are final.
             if node._pairs is not None or node._rows is not None:
                 _flush(node)
-            if node._backward is not None and node.grad is not None:
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._backward = _consumed
+            node._parents = ()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -124,6 +138,10 @@ class Tensor:
     __rmul__ = __mul__
 
 
+def _consumed(g) -> None:
+    """Backward closure of a tensor that a backward sweep has passed."""
+
+
 def _toposort(root: Tensor) -> list[Tensor]:
     # Iterative DFS: graphs can be deeper than Python's recursion limit.
     order: list[Tensor] = []
@@ -136,6 +154,8 @@ def _toposort(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in seen:
             continue
+        if node._backward is _consumed:
+            raise AutodiffError("backward through a graph an earlier backward() consumed")
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -178,12 +198,17 @@ def _flush(t: Tensor) -> None:
         np.add.at(t.grad, np.concatenate(index), np.concatenate(gs))
 
 
+def _records(parents: Sequence[Tensor]) -> bool:
+    """Whether an op on these parents records a backward."""
+    return _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
+
+
 def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out._pairs = out._rows = None
-    if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -358,11 +383,13 @@ def segment_max(m: Tensor, index: np.ndarray, valid: np.ndarray) -> Tensor:
     """
     if index.ndim != 2 or index.shape != valid.shape or index.shape[1] < 1:
         raise AutodiffError(f"segment_max: bad index/mask shapes {index.shape}, {valid.shape}")
-    cols = np.arange(m.data.shape[1])
     picked = np.where(valid[:, :, None], m.data[index], -np.inf)
-    src = np.take_along_axis(index, picked.argmax(axis=1), axis=1)  # (s, d) source rows
     empty = ~valid.any(axis=1, keepdims=True)
-    out = np.where(empty, 0.0, m.data[src, cols])
+    out = np.where(empty, 0.0, picked.max(axis=1))
+    if not _records((m,)):
+        return _result(out, (m,), None)
+    cols = np.arange(m.data.shape[1])
+    src = np.take_along_axis(index, picked.argmax(axis=1), axis=1)  # (s, d) source rows
 
     def backward(g):
         gm = np.zeros_like(m.data)

@@ -16,7 +16,7 @@ from .parser import SqlParseError, parse
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 SPECIAL_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
 
-_PLACEHOLDER_TOKEN_RE = re.compile(r"^val_\d+$")
+_PLACEHOLDER_TOKEN_RE = re.compile(r"val_\d+\Z")
 
 
 class Vocabulary:

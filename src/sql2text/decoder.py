@@ -240,6 +240,7 @@ def beam_search(
         log_p = np.zeros(1)  # (live,) running log-probs, float64
         history = np.zeros((1, 0), dtype=np.intp)  # (live, t) tokens so far
         done: list[tuple[float, np.ndarray]] = []  # (score, tokens), in the order found
+        best_done = -np.inf  # best score in done
         for t in range(cfg.max_decode_len):
             state = decoder_step(state, memory, store, cfg)
             step = ad.log_softmax(next_token_logits(state, store)).data
@@ -249,12 +250,14 @@ def beam_search(
             tokens = top.reshape(-1)
             cand = log_p[rows] + step[rows, tokens]
             ended = np.flatnonzero(tokens == EOS)
-            done.extend(zip(cand[ended] / max(t, 1) ** alpha, history[rows[ended]]))
+            scores = cand[ended] / max(t, 1) ** alpha
+            done.extend(zip(scores, history[rows[ended]]))
+            best_done = max(best_done, scores.max(initial=-np.inf))
             going = np.flatnonzero(tokens != EOS)
             keep = going[np.argsort(-(cand[going] / (t + 1) ** alpha), kind="stable")[:width]]
             log_p = cand[keep]
             history = np.concatenate([history[rows[keep]], tokens[keep, None]], axis=1)
-            if not keep.size or (done and max(s for s, _ in done) >= log_p.max() / cap_norm):
+            if not keep.size or (done and best_done >= log_p.max() / cap_norm):
                 break
             parents = rows[keep]
             state = DecoderState(

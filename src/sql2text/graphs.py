@@ -76,7 +76,9 @@ class _GraphBuilder:
 
 
 def _column_tokens(name: str) -> tuple[str, ...]:
-    return tuple(name.split())
+    """The column name split on single spaces, so joining the tokens with
+    single spaces gives the name back."""
+    return tuple(name.split(" "))
 
 
 def _constraint_tokens(cond: Condition) -> tuple[str, ...]:
@@ -191,7 +193,7 @@ def template_interpret(query: SqlQuery) -> str:
 
     def expr_words(expr: LogicExpr) -> list[str]:
         if isinstance(expr, Condition):
-            words = list(_column_tokens(expr.column))
+            words = expr.column.split()
             words.extend(_COMPARATOR_WORDS[expr.comparator].split())
             words.extend(expr.value.text.split())
             return words
@@ -212,7 +214,7 @@ def template_interpret(query: SqlQuery) -> str:
         if query.aggregation is not None:
             words.append(_AGGREGATION_WORDS[query.aggregation])
     for name in query.select_columns:
-        words.extend(_column_tokens(name))
+        words.extend(name.split())
     if query.where is not None:
         words.append("where")
         words.extend(expr_words(query.where))

@@ -30,7 +30,7 @@ UNSUPPORTED_KEYWORDS = frozenset(
     {"from", "join", "order", "by", "group", "having", "limit", "inner", "outer", "left", "right", "on"}
 )
 
-_PLACEHOLDER_RE = re.compile(r"val_?(\d+)$", re.IGNORECASE)
+_PLACEHOLDER_RE = re.compile(r"val_?(\d+)\Z", re.IGNORECASE)
 
 
 class SqlParseError(ValueError):

@@ -1,5 +1,6 @@
 import math
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -86,6 +87,19 @@ class TestMaxReduce:
         assert np.allclose(rows.grad[0], [1.0, 1.0])
         assert np.allclose(rows.grad[1], [0.0, 0.0])
 
+    def test_no_grad_forward_matches_recorded_forward(self):
+        rng = np.random.default_rng(3)
+        m = param(rng.integers(-2, 3, size=(6, 4)).astype(np.float32))
+        index = rng.integers(0, 6, size=(5, 3))
+        valid = rng.random((5, 3)) < 0.7
+        valid[0] = False
+        recorded = ad.segment_max(m, index, valid)
+        with ad.no_grad():
+            plain = ad.segment_max(m, index, valid)
+        assert recorded.requires_grad and not plain.requires_grad
+        assert plain.data.dtype == recorded.data.dtype == np.float32
+        assert np.array_equal(plain.data, recorded.data)
+
     def test_segments_pad_and_empty_rows(self, f64):
         m = param([[1.0, -2.0], [3.0, 0.5], [-1.0, 4.0]])
         index = np.array([[2, 0, 0], [1, 1, 0], [0, 0, 0]])
@@ -158,6 +172,42 @@ class TestBackward:
         first = p.grad.copy()
         ad.tsum(ad.mul(p, p)).backward()
         assert np.allclose(p.grad, 2 * first)
+
+    def test_backward_frees_intermediate_activations(self, f64):
+        p = param([[0.5, -1.0]])
+        h = ad.tanh(ad.affine(p, param(np.ones((2, 3))), param(np.zeros(3))))
+        loss = ad.tsum(ad.mul(h, h))
+        activation = weakref.ref(h.data)
+        del h
+        loss.backward()
+        assert activation() is None
+        assert p.grad is not None
+
+    def test_leaf_gradients_survive_and_intermediate_ones_drop(self, f64):
+        p = param([3.0])
+        h = ad.mul(p, p)
+        ad.tsum(h).backward()
+        assert h.grad is None
+        assert np.array_equal(p.grad, [6.0])
+        ad.tsum(ad.mul(p, p)).backward()
+        assert np.array_equal(p.grad, [12.0])
+
+    def test_second_backward_on_the_same_root_raises(self, f64):
+        p = param([3.0])
+        loss = ad.tsum(ad.mul(p, p))
+        loss.backward()
+        with pytest.raises(AutodiffError, match="consumed"):
+            loss.backward()
+        assert np.array_equal(p.grad, [6.0])
+
+    def test_backward_through_a_consumed_intermediate_raises(self, f64):
+        p = param([3.0])
+        h = ad.tanh(p)
+        ad.tsum(h).backward()
+        first = p.grad.copy()
+        with pytest.raises(AutodiffError, match="consumed"):
+            ad.tsum(ad.mul(h, ad.scale(p, 2.0))).backward()
+        assert np.array_equal(p.grad, first)
 
     def test_diamond_graph(self, f64):
         p = param([1.5])

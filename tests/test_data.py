@@ -111,9 +111,10 @@ class TestVocabulary:
         assert vocab.id("b") == UNK
 
     def test_placeholders_always_kept(self):
-        vocab = Vocabulary.from_counts(Counter({"val_3": 1, "rare": 1}), min_freq=5)
+        vocab = Vocabulary.from_counts(Counter({"val_3": 1, "rare": 1, "val_3\n": 1}), min_freq=5)
         assert "val_3" in vocab
         assert "rare" not in vocab
+        assert "val_3\n" not in vocab
 
     def test_deterministic_assignment(self):
         counts = Counter({"b": 2, "a": 2, "c": 5})

@@ -202,12 +202,12 @@ def unfold(graph):
     def expr(v):
         if kind[v] == "column":
             (constraint,) = fwd[v]
-            return (text[v], constraint_form(text[constraint]))
+            return (" ".join(text[v]), constraint_form(text[constraint]))
         return (text[v], tuple(sorted((expr(u) for u in fwd[v] if u != select), key=repr)))
 
     aggs = [u for u in fwd[select] if kind[u] == "aggregation"]
     column_parent = aggs[0] if aggs else select
-    columns = sorted(text[u] for u in fwd[column_parent] if kind[u] == "column" and not fwd[u])
+    columns = sorted(" ".join(text[u]) for u in fwd[column_parent] if kind[u] == "column" and not fwd[u])
     roots = [
         v for v in bwd[select]
         if kind[v] == "operator" and not any(kind[p] == "operator" for p in bwd[v])
@@ -236,12 +236,12 @@ def canonical(query: SqlQuery):
 
     def expr(e):
         if isinstance(e, Condition):
-            return (tuple(e.column.split()), (e.comparator, e.value.kind, e.value.text))
+            return (e.column, (e.comparator, e.value.kind, e.value.text))
         return ((e.op,), tuple(sorted((expr(c) for c in e.children), key=repr)))
 
     return (
         (query.aggregation,) if query.aggregation else None,
-        tuple(sorted(tuple(c.split()) for c in query.select_columns)),
+        tuple(sorted(query.select_columns)),
         expr(query.where) if query.where is not None else None,
     )
 
@@ -275,9 +275,22 @@ class TestNestedLogic:
             ("SELECT a WHERE b = 'new  york'", "SELECT a WHERE b = 'new york'"),
             ("SELECT a WHERE b = '\\'val_0\\''", "SELECT a WHERE b = 'val_0'"),
             ("SELECT a WHERE b = '  '", "SELECT a WHERE b = ''"),
+            ('SELECT a WHERE b = "val_0\n"', "SELECT a WHERE b = val_0"),
         ],
     )
     def test_distinct_literals_get_distinct_constraint_nodes(self, first, second):
+        assert parse(first) != parse(second)
+        texts = [[n.text for n in build_graph(parse(sql)).nodes] for sql in (first, second)]
+        assert texts[0] != texts[1]
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            ('SELECT "x  y"', 'SELECT "x y"'),
+            ('SELECT a WHERE "b  c" = 1', 'SELECT a WHERE "b c" = 1'),
+        ],
+    )
+    def test_distinct_column_names_get_distinct_column_nodes(self, first, second):
         assert parse(first) != parse(second)
         texts = [[n.text for n in build_graph(parse(sql)).nodes] for sql in (first, second)]
         assert texts[0] != texts[1]
@@ -353,6 +366,10 @@ class TestTemplate:
     def test_comparator_words(self, cmp, phrase):
         out = template_interpret(parse(f"SELECT a WHERE b {cmp} val0"))
         assert out == f"which a where b {phrase} val_0"
+
+    def test_column_names_read_as_words(self):
+        query = parse('SELECT "x  y" WHERE "b\tc" = 1')
+        assert template_interpret(query) == "which x y where b c equals 1"
 
     def test_logic_words(self):
         out = template_interpret(parse("SELECT a WHERE b = val0 OR NOT c = val1"))

@@ -147,6 +147,12 @@ class TestPlaceholders:
         assert conds[0].value == ValueToken("placeholder", "val_0")
         assert conds[1].value == ValueToken("placeholder", "val_1")
 
+    def test_placeholder_spelling_with_a_trailing_newline_is_a_literal(self):
+        q = parse('SELECT a WHERE b = "val_0\n"')
+        assert q.where.value == ValueToken("literal", "val_0\n")
+        assert q != parse("SELECT a WHERE b = val_0")
+        assert parse(render(q)) == q
+
     def test_passthrough_keeps_given_indices(self):
         q = parse("SELECT a WHERE b = val_7")
         assert q.where.value.text == "val_7"
@@ -246,7 +252,7 @@ class TestNesting:
 
 # --- property tests ----------------------------------------------------------
 
-_columns = st.sampled_from(["a", "b", "company", "name_1", "two words", "assets"])
+_columns = st.sampled_from(["a", "b", "company", "name_1", "two words", "two  words", "a\tb", "assets"])
 _comparators = st.sampled_from(["=", "!=", "<", ">", "<=", ">="])
 _values = st.one_of(
     st.integers(0, 3).map(lambda i: ValueToken("placeholder", f"val_{i}")),

@@ -8,11 +8,13 @@ suites switch the engine to float64 through :func:`default_dtype`.
 
 Operations work on whole batches: the rows of a matrix are the nodes or
 the sequences of a minibatch, and the row-level ops (``gather``,
-``slice_rows``, ``segment_max``, masked ``softmax``) let one op serve the
-whole minibatch instead of a Python loop over vectors.
+``slice_rows``, ``segment_max``) let one op serve the whole minibatch
+instead of a Python loop over vectors.
 
 ``affine`` (``x @ w + b``) is the one matrix product: every linear layer
-is one ``affine`` op, and attention's batched contractions use ``einsum``.
+is one ``affine`` op, an LSTM's four gates included.  Fused ops do the
+elementwise work of a step: ``lstm_cell`` the gate math, and
+``additive_scores`` and ``attend`` the attention (dot scores use ``einsum``).
 Weight and embedding-lookup gradients are not summed as they arrive.
 ``affine`` stores the operand pair of each outer product on its weight
 matrix and ``gather`` stores each looked-up index with its gradient; when
@@ -173,6 +175,15 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+def _accumulate_at(t: Tensor, index, g: np.ndarray) -> None:
+    """Add g to t's gradient at index (a basic numpy index)."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad[index] += g
+
+
 def _defer_outer(t: Tensor, u: np.ndarray, v: np.ndarray) -> None:
     """Record the gradient term u.T @ v of matrix t; u and v are reshaped
     to rows, so a vector counts as one row and a (b, n, m) operand as b*n."""
@@ -311,19 +322,6 @@ def tanh(a: Tensor) -> Tensor:
     return _result(out, (a,), backward)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    # (1 + tanh(x/2)) / 2 keeps the input dtype and has no exp to overflow
-    # or underflow, and no branch; its error is within an ulp of 1.
-    out = np.tanh(0.5 * a.data)
-    out += 1.0
-    out *= 0.5
-
-    def backward(g):
-        _accumulate(a, g * out * (1.0 - out))
-
-    return _result(out, (a,), backward)
-
-
 def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     """Concatenate tensors along an axis, by default the last."""
     if not parts:
@@ -361,9 +359,7 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
         return a
 
     def backward(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[start:stop] += g
+        _accumulate_at(a, slice(start, stop), g)
 
     return _result(a.data[start:stop], (a,), backward)
 
@@ -423,19 +419,75 @@ def tsum(a: Tensor) -> Tensor:
     return _result(np.asarray(a.data.sum(), dtype=a.data.dtype), (a,), backward)
 
 
-def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Stable softmax over the last axis (max-subtraction); positions where
-    ``mask`` is False get weight exactly 0 (each row needs one True)."""
-    if a.data.ndim < 1 or a.data.shape[-1] < 1:
-        raise AutodiffError(f"softmax expects a non-empty last axis, got {a.data.shape}")
-    x = a.data if mask is None else np.where(mask, a.data, -np.inf)
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    out = e / e.sum(axis=-1, keepdims=True)
+def lstm_cell(gates: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
+    """(h', c') = (o*tanh(c'), f*c + i*tanh(cand)) from (n, 4h) gate
+    pre-activations in i, f, o, cand order, i, f and o through a sigmoid,
+    and the (n, h) cell state c.  h' has c' as a parent, so the backward
+    of c' runs once for the partials of both outputs."""
+    hd = c.data.shape[-1]
+    if gates.data.shape != c.data.shape[:-1] + (4 * hd,):
+        raise AutodiffError(f"lstm_cell shape mismatch: gates {gates.data.shape} vs cell {c.data.shape}")
+    # (1 + tanh(x/2)) / 2 keeps the input dtype and has no exp to overflow
+    # or underflow, and no branch; its error is within an ulp of 1.
+    sig = np.tanh(0.5 * gates.data[..., : 3 * hd])
+    sig += 1.0
+    sig *= 0.5
+    i, f, o = sig[..., :hd], sig[..., hd : 2 * hd], sig[..., 2 * hd :]
+    cand = np.tanh(gates.data[..., 3 * hd :])
+    c2 = f * c.data + i * cand
+    tc = np.tanh(c2)
+
+    def c_backward(g):
+        _accumulate_at(gates, (..., slice(0, hd)), g * cand * i * (1.0 - i))
+        _accumulate_at(gates, (..., slice(hd, 2 * hd)), g * c.data * f * (1.0 - f))
+        _accumulate_at(gates, (..., slice(3 * hd, None)), g * i * (1.0 - cand * cand))
+        _accumulate(c, g * f)
+
+    c_out = _result(c2, (gates, c), c_backward)
+
+    def h_backward(g):
+        _accumulate_at(gates, (..., slice(2 * hd, 3 * hd)), g * tc * o * (1.0 - o))
+        _accumulate(c_out, g * o * (1.0 - tc * tc))
+
+    return _result(o * tc, (gates, c_out), h_backward), c_out
+
+
+def additive_scores(q: Tensor, proj: Tensor, v: Tensor) -> Tensor:
+    """Additive attention scores tanh(proj + q[:, None]) @ v, (n, m), from
+    (n, h) queries, (n, m, h) projected keys and an (h,) vector v."""
+    energy = np.tanh(proj.data + q.data[:, None])
 
     def backward(g):
-        _accumulate(a, out * (g - (g * out).sum(axis=-1, keepdims=True)))
+        d = np.einsum("bn,h->bnh", g, v.data) * (1.0 - energy * energy)
+        _accumulate(proj, d)
+        _accumulate(q, d.sum(axis=1))
+        _accumulate(v, np.einsum("bnh,bn->h", energy, g))
 
-    return _result(out, (a,), backward)
+    return _result(np.einsum("bnh,h->bn", energy, v.data), (q, proj, v), backward)
+
+
+def attend(scores: Tensor, mask: np.ndarray, nodes: Tensor) -> tuple[Tensor, Tensor]:
+    """(context, weights): the (n, m) weights are the stable softmax of the
+    (n, m) scores, exactly 0 where ``mask`` is False (each row needs one
+    True), and the (n, d) context rows are their sums over (n, m, d) nodes."""
+    if scores.data.ndim != 2 or nodes.data.shape[:2] != scores.data.shape:
+        raise AutodiffError(f"attend shape mismatch: scores {scores.data.shape} vs nodes {nodes.data.shape}")
+    w = np.where(mask, scores.data, -np.inf)
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+
+    def to_scores(gw):
+        _accumulate(scores, w * (gw - (gw * w).sum(axis=-1, keepdims=True)))
+
+    def context_backward(g):
+        if scores.requires_grad:
+            to_scores(np.einsum("bd,bnd->bn", g, nodes.data))
+        if nodes.requires_grad:
+            _accumulate(nodes, np.einsum("bn,bd->bnd", w, g))
+
+    context = _result(np.einsum("bn,bnd->bd", w, nodes.data), (scores, nodes), context_backward)
+    return context, _result(w, (scores,), to_scores)
 
 
 def log_softmax(a: Tensor) -> Tensor:

@@ -45,8 +45,8 @@ class UsageError(ValueError):
     pass
 
 
-def _config_defaults() -> dict:
-    return asdict(TrainConfig())
+def _config_defaults(overrides: dict | None = None) -> dict:
+    return {**asdict(TrainConfig()), **(overrides or {})}
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -69,30 +69,23 @@ def _load_config_file(path: str | None) -> dict:
     return values
 
 
-def _add_config_flags(cmd: argparse.ArgumentParser, exclude: tuple[str, ...] = ()) -> None:
+def _add_config_flags(
+    cmd: argparse.ArgumentParser, exclude: tuple[str, ...] = (), overrides: dict | None = None
+) -> None:
+    defaults = _config_defaults(overrides)
     for name, f in _CONFIG_FIELDS.items():
         if name in exclude:
             continue
-        flag = "--" + name.replace("_", "-")
         if isinstance(f.default, bool):
-            cmd.add_argument(
-                flag,
-                dest=name,
-                action=argparse.BooleanOptionalAction,
-                default=None,
-                help=f"(default {f.default})",
-            )
+            kind = {"action": argparse.BooleanOptionalAction}
         else:
-            caster = type(f.default) if f.default is not None else str
-            cmd.add_argument(
-                flag, dest=name, type=caster, default=None, help=f"(default {f.default})"
-            )
+            kind = {"type": type(f.default) if f.default is not None else str}
+        help_text = f"(default {defaults[name]})"  # the default this command runs with
+        cmd.add_argument("--" + name.replace("_", "-"), dest=name, default=None, help=help_text, **kind)
 
 
 def _effective_config(args: argparse.Namespace, overrides: dict | None = None) -> TrainConfig:
-    values = _config_defaults()
-    if overrides:
-        values.update(overrides)
+    values = _config_defaults(overrides)
     values.update(_load_config_file(getattr(args, "config", None)))
     for name in _CONFIG_FIELDS:
         flag_value = getattr(args, name, None)
@@ -225,9 +218,9 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return status
 
 
-def _config_epilog() -> str:
+def _config_epilog(overrides: dict | None = None) -> str:
     lines = ["configuration keys (JSON config file and per-key flags on train/gradcheck):"]
-    for name, value in _config_defaults().items():
+    for name, value in _config_defaults(overrides).items():
         lines.append(f"  {name} (default {value!r})")
     lines.append(f"environment: {CONFIG_ENV_VAR} points at a default config file")
     return "\n".join(lines)
@@ -296,7 +289,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "gradcheck",
         help="finite-difference check of end-to-end gradients",
-        epilog=_config_epilog(),
+        epilog=_config_epilog(_GRADCHECK_DEFAULTS),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p.add_argument("--config", help="JSON config file (flags win)")
@@ -307,7 +300,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         default="float32",
     )
     p.add_argument("--samples", type=_positive_int, default=200)
-    _add_config_flags(p, exclude=("precision",))
+    _add_config_flags(p, exclude=("precision",), overrides=_GRADCHECK_DEFAULTS)
     p.set_defaults(func=cmd_gradcheck)
 
     return root

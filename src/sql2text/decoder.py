@@ -20,7 +20,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import TrainConfig
 from .data import BOS, EOS
-from .nn import create_linear, create_lstm, linear, lstm_step
+from .nn import create_linear, create_lstm, linear, lstm_step, lstm_weights
 from .optim import ParameterStore
 
 
@@ -36,12 +36,13 @@ class DecoderState:
 
 @dataclass
 class Memory:
-    """What the decoder attends over, row-aligned with the sequences: a
-    state of n rows attends over the first n rows."""
+    """What every decoder step reads, row-aligned with the sequences (a
+    state of n rows attends over the first n rows)."""
 
     nodes: Tensor  # (rows, Nmax, 2 * hidden) node embeddings, padded
     mask: np.ndarray  # (rows, Nmax), True at real nodes
     proj: Tensor | None  # (rows, Nmax, hidden) node-side additive projection
+    lstm: tuple[Tensor, Tensor]  # dec_lstm's gate weights, joined once
 
 
 def build_decoder_params(
@@ -65,10 +66,10 @@ def build_decoder_params(
 def attention_memory(
     nodes: Tensor, mask: np.ndarray, store: ParameterStore, cfg: TrainConfig
 ) -> Memory:
-    """Memory over padded node embeddings, with the node-side projection
-    of additive attention computed once for every step."""
+    """Memory over padded node embeddings, with additive attention's node-side
+    projection and the joined LSTM weights computed once for every step."""
     proj = linear(store, "attn_h", nodes) if cfg.attention == "additive" else None
-    return Memory(nodes, mask, proj)
+    return Memory(nodes, mask, proj, lstm_weights(store, "dec_lstm"))
 
 
 def attention_context(
@@ -79,13 +80,11 @@ def attention_context(
     n = s.data.shape[0]
     nodes = ad.slice_rows(memory.nodes, 0, n)
     if cfg.attention == "additive":
-        query = ad.reshape(linear(store, "attn_s", s), (n, 1, -1))
-        energy = ad.tanh(ad.slice_rows(memory.proj, 0, n) + query)
-        scores = ad.einsum("bnh,h->bn", energy, store["attn_v"])
+        proj = ad.slice_rows(memory.proj, 0, n)
+        scores = ad.additive_scores(linear(store, "attn_s", s), proj, store["attn_v"])
     else:
         scores = ad.einsum("bnd,bd->bn", nodes, linear(store, "attn_dot", s))
-    weights = ad.softmax(scores, memory.mask[:n])
-    return ad.einsum("bn,bnd->bd", weights, nodes), weights
+    return ad.attend(scores, memory.mask[:n], nodes)
 
 
 def init_state(
@@ -109,8 +108,8 @@ def decoder_step(
     others are dropped.  The returned state keeps ``prev`` for the caller
     to replace."""
     n = len(state.prev)
-    x = ad.concat([ad.gather(store["tgt_embed"], state.prev), ad.slice_rows(state.context, 0, n)])
-    h, c = lstm_step(store, "dec_lstm", x, ad.slice_rows(state.h, 0, n), ad.slice_rows(state.c, 0, n))
+    x = [ad.gather(store["tgt_embed"], state.prev), ad.slice_rows(state.context, 0, n)]
+    h, c = lstm_step(memory.lstm, x + [ad.slice_rows(state.h, 0, n)], ad.slice_rows(state.c, 0, n))
     context, _ = attention_context(h, memory, store, cfg)
     return DecoderState(h, c, context, state.prev)
 

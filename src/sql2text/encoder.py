@@ -30,7 +30,7 @@ from .autodiff import Tensor
 from .config import TrainConfig
 from .data import Vocabulary
 from .graphs import QueryGraph, add_super_node, disjoint_union
-from .nn import create_linear, create_lstm, linear, lstm_step
+from .nn import create_linear, create_lstm, linear, lstm_step, lstm_weights
 from .optim import ParameterStore
 
 
@@ -73,12 +73,13 @@ def init_node_features(
     texts = sorted(dict.fromkeys(node.text for node in graph.nodes), key=len, reverse=True)
     lengths = np.array([len(text) for text in texts])
     embed = store["src_embed"]
+    weights = lstm_weights(store, "node_lstm")
     h = c = ad.zeros((len(texts), cfg.hidden))
     finished: list[Tensor] = []
     for step in range(lengths[0]):
         n = int(np.count_nonzero(lengths > step))
         x = ad.gather(embed, [vocab.id(text[step]) for text in texts[:n]])
-        h, c = lstm_step(store, "node_lstm", x, ad.slice_rows(h, 0, n), ad.slice_rows(c, 0, n))
+        h, c = lstm_step(weights, [x, ad.slice_rows(h, 0, n)], ad.slice_rows(c, 0, n))
         still = int(np.count_nonzero(lengths > step + 1))
         if still < n:
             finished.append(ad.slice_rows(h, still, n))

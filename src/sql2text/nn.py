@@ -1,10 +1,12 @@
-"""Shared neural building blocks: linear layers and a gated recurrent cell."""
+"""Shared neural building blocks: linear layers and a gated recurrent cell,
+whose per-gate weights a forward pass joins once so that each step's four
+gates are one ``affine``."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, affine, concat, mul, sigmoid, tanh
+from .autodiff import Tensor, affine, concat, lstm_cell
 from .optim import ParameterStore
 
 LSTM_GATES = ("i", "f", "o", "c")
@@ -24,16 +26,18 @@ def create_lstm(store: ParameterStore, prefix: str, input_dim: int, hidden_dim: 
         create_linear(store, f"{prefix}.{gate}", input_dim + hidden_dim, hidden_dim, rng)
 
 
-def lstm_step(
-    store: ParameterStore, prefix: str, x: Tensor, h: Tensor, c: Tensor
-) -> tuple[Tensor, Tensor]:
-    """One step of a standard LSTM cell on a batch of rows: x is (n, in),
-    h and c are (n, hidden); returns (h', c')."""
-    z = concat([x, h])
-    i = sigmoid(linear(store, f"{prefix}.i", z))
-    f = sigmoid(linear(store, f"{prefix}.f", z))
-    o = sigmoid(linear(store, f"{prefix}.o", z))
-    cand = tanh(linear(store, f"{prefix}.c", z))
-    c2 = mul(f, c) + mul(i, cand)
-    h2 = mul(o, tanh(c2))
-    return h2, c2
+def lstm_weights(store: ParameterStore, prefix: str) -> tuple[Tensor, Tensor]:
+    """The gate weights and biases of an LSTM, joined in LSTM_GATES order:
+    (in + hidden, 4 * hidden) and (4 * hidden,)."""
+    return (
+        concat([store[f"{prefix}.{gate}.w"] for gate in LSTM_GATES], axis=1),
+        concat([store[f"{prefix}.{gate}.b"] for gate in LSTM_GATES]),
+    )
+
+
+def lstm_step(weights: tuple[Tensor, Tensor], inputs: list[Tensor], c: Tensor) -> tuple[Tensor, Tensor]:
+    """One step of a standard LSTM cell on a batch of rows: ``inputs`` are
+    the (n, *) input blocks followed by the (n, hidden) state h, c is the
+    (n, hidden) cell state and ``weights`` come from :func:`lstm_weights`;
+    returns (h', c')."""
+    return lstm_cell(affine(concat(inputs), *weights), c)

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line
 with its measured numbers (run with ``pytest -s`` to see them)."""
 
+import itertools
 import time
 
 import numpy as np
@@ -105,6 +106,40 @@ def test_criterion_03_gradient_oracle():
     assert err64 < 1e-6
     assert elapsed < 120.0
     announce("3", f"max rel err {err32:.2e} (float32) / {err64:.2e} (float64), 220 coords each, {elapsed:.1f}s")
+
+
+# A ragged batch: three targets of different lengths, so sequence_loss
+# sorts the rows and the active rows shrink, and one nested condition.
+ORACLE_QUERIES = (
+    "SELECT a WHERE NOT (b = val_0 OR c > val_1) AND d < val_2",
+    "SELECT MAX(e)",
+    "SELECT f, g WHERE h = val_0",
+)
+
+
+@pytest.mark.parametrize(
+    "ge_method, attention, share, undirected",
+    list(itertools.product(("pooling", "supernode"), ("additive", "dot"), (False, True), (False, True))),
+)
+def test_gradient_oracle_every_branch(ge_method, attention, share, undirected):
+    """The float64 finite-difference oracle on every combination of the
+    four model switches, over a ragged batch of three queries."""
+    config = TrainConfig(
+        word_dim=5, hidden=4, hop_size=2, dropout=0.0, precision="float64",
+        ge_method=ge_method, attention=attention,
+        share_direction_weights=share, undirected=undirected,
+    )
+    pairs = [ExamplePair(sql, tokenize_text(template_interpret(parse(sql)))) for sql in ORACLE_QUERIES]
+    assert len({len(pair.target) for pair in pairs}) == len(pairs)
+    model = GraphToSequenceModel(*build_vocab(pairs), config)
+    randomize_parameters(model.store, np.random.default_rng(1))
+    graphs = [model.prepare(pair.sql) for pair in pairs]
+
+    def loss_fn(store):
+        return model.loss(graphs, [pair.target for pair in pairs], train=False)[0]
+
+    err = finite_difference_check(loss_fn, model.store, samples=150, rng=np.random.default_rng(2))
+    assert err < 1e-6
 
 
 def test_criterion_04_propagation_hand_oracle():

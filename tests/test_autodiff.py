@@ -111,22 +111,30 @@ class TestMaxReduce:
         assert np.array_equal(m.grad, [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
+def attend_weights(scores) -> np.ndarray:
+    """The weights output of ``attend`` for one or more rows of scores."""
+    x = Tensor(np.atleast_2d(np.asarray(scores, dtype=float)))
+    _, weights = ad.attend(x, np.ones(x.data.shape, dtype=bool), Tensor(np.zeros(x.data.shape + (1,))))
+    return weights.data
+
+
 class TestSoftmax:
+    # The softmax inside ``attend``, seen through its weights output.
     def test_symmetry(self):
-        assert np.allclose(ad.softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5])
+        assert np.allclose(attend_weights([0.0, 0.0]), [[0.5, 0.5]])
 
     def test_stability_under_large_inputs(self):
-        out = ad.softmax(Tensor([1000.0, 1000.0])).data
-        assert np.allclose(out, [0.5, 0.5])
+        out = attend_weights([1000.0, 1000.0])
+        assert np.allclose(out, [[0.5, 0.5]])
         assert np.isfinite(out).all()
 
     def test_closed_form(self, f64):
-        out = ad.softmax(Tensor([math.log(2.0), 0.0])).data
-        assert np.allclose(out, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
+        out = attend_weights([math.log(2.0), 0.0])
+        assert np.allclose(out, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-12)
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
     def test_positive_and_sums_to_one(self, values):
-        out = ad.softmax(Tensor(values)).data
+        out = attend_weights(values)
         assert (out > 0).all()
         assert abs(out.sum() - 1.0) < 1e-6
 
@@ -138,9 +146,94 @@ class TestSoftmax:
         # Integer-valued inputs keep x + c exact, so max-subtraction must
         # give bit-identical outputs.
         with ad.default_dtype(np.float64):
-            base = ad.softmax(Tensor([float(v) for v in values])).data
-            shifted = ad.softmax(Tensor([float(v + c) for v in values])).data
+            base = attend_weights([float(v) for v in values])
+            shifted = attend_weights([float(v + c) for v in values])
         assert np.array_equal(base, shifted)
+
+
+def _sig(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _unfused_cell(i, f, o, cand, c):
+    # The cell as a chain of elementwise ops, sigmoid as (1 + tanh(x/2)) / 2.
+    def sigmoid(t):
+        return ad.scale(ad.tanh(ad.scale(t, 0.5)), 0.5) + Tensor(np.full(t.data.shape, 0.5))
+
+    c2 = ad.mul(sigmoid(f), c) + ad.mul(sigmoid(i), ad.tanh(cand))
+    return ad.mul(sigmoid(o), ad.tanh(c2)), c2
+
+
+class TestFusedOps:
+    def test_lstm_cell_matches_numpy_cell(self, f64):
+        rng = np.random.default_rng(7)
+        gates, c = rng.normal(size=(4, 12)) * 2, rng.normal(size=(4, 3))
+        h2, c2 = ad.lstm_cell(Tensor(gates), Tensor(c))
+        i, f, o = (_sig(gates[:, k * 3 : (k + 1) * 3]) for k in range(3))
+        want_c = f * c + i * np.tanh(gates[:, 9:])
+        assert np.allclose(c2.data, want_c, rtol=0, atol=1e-12)
+        assert np.allclose(h2.data, o * np.tanh(want_c), rtol=0, atol=1e-12)
+
+    def test_lstm_cell_gradients_match_the_unfused_chain(self, f64):
+        rng = np.random.default_rng(8)
+        gates, c0 = rng.normal(size=(4, 12)) * 2, rng.normal(size=(4, 3))
+        w1, w2 = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(4, 3)))
+
+        def loss(h2, c2):
+            return ad.tsum(ad.mul(h2, w1)) + ad.tsum(ad.mul(ad.tanh(c2), w2))
+
+        fused, c = param(gates), param(c0)
+        h2, c2 = ad.lstm_cell(fused, c)
+        loss(h2, c2).backward()
+        blocks, c_ref = [param(gates[:, k * 3 : (k + 1) * 3]) for k in range(4)], param(c0)
+        h_ref, c2_ref = _unfused_cell(*blocks, c_ref)
+        assert np.allclose(h2.data, h_ref.data, rtol=0, atol=1e-12)
+        assert np.allclose(c2.data, c2_ref.data, rtol=0, atol=1e-12)
+        loss(h_ref, c2_ref).backward()
+        want = np.concatenate([b.grad for b in blocks], axis=1)
+        assert np.allclose(fused.grad, want, rtol=0, atol=1e-12)
+        assert np.allclose(c.grad, c_ref.grad, rtol=0, atol=1e-12)
+
+    def test_attention_matches_numpy(self, f64):
+        rng = np.random.default_rng(9)
+        q, proj, v = rng.normal(size=(2, 3)), rng.normal(size=(2, 4, 3)), rng.normal(size=3)
+        nodes = rng.normal(size=(2, 4, 5))
+        mask = np.array([[True, True, True, False], [True, False, True, True]])
+        scores = ad.additive_scores(Tensor(q), Tensor(proj), Tensor(v))
+        want_scores = np.tanh(proj + q[:, None, :]) @ v
+        assert np.allclose(scores.data, want_scores, rtol=0, atol=1e-12)
+        context, weights = ad.attend(scores, mask, Tensor(nodes))
+        e = np.where(mask, np.exp(want_scores), 0.0)
+        want_w = e / e.sum(axis=1, keepdims=True)
+        assert np.allclose(weights.data, want_w, rtol=0, atol=1e-12)
+        assert np.allclose(context.data, np.einsum("bn,bnd->bd", want_w, nodes), rtol=0, atol=1e-12)
+
+    def test_masked_positions_get_zero_weight_and_zero_gradient(self, f64):
+        rng = np.random.default_rng(10)
+        scores, nodes = param(rng.normal(size=(3, 3)) * 5), param(rng.normal(size=(3, 3, 2)))
+        context, weights = ad.attend(scores, MASK, nodes)
+        assert (weights.data[~MASK] == 0.0).all()
+        assert np.allclose(weights.data.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        (ad.tsum(ad.tanh(context)) + weighted(weights)).backward()
+        assert (scores.grad[~MASK] == 0.0).all()
+        assert (nodes.grad[~MASK] == 0.0).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attend_large_scores_do_not_overflow(self, dtype):
+        scores = np.array([[1e3, -1e3, 0.0], [-1e3, -1e3, -1e3], [1e3, 1e3, 5.0]], dtype=dtype)
+        with ad.default_dtype(dtype), np.errstate(over="raise", invalid="raise", divide="raise"):
+            s = param(scores)
+            context, weights = ad.attend(s, MASK, Tensor(np.ones((3, 3, 2))))
+            (ad.tsum(context) + ad.tsum(weights)).backward()
+        assert np.isfinite(weights.data).all() and np.isfinite(s.grad).all()
+        assert np.allclose(weights.data, [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
+        assert np.allclose(weights.data.sum(axis=1), 1.0)
+
+    def test_shape_mismatches_rejected(self):
+        with pytest.raises(AutodiffError, match="lstm_cell"):
+            ad.lstm_cell(Tensor(np.zeros((2, 8))), Tensor(np.zeros((2, 3))))
+        with pytest.raises(AutodiffError, match="attend"):
+            ad.attend(Tensor(np.zeros((2, 3))), np.ones((2, 3), dtype=bool), Tensor(np.zeros((2, 4, 1))))
 
 
 class TestBackward:
@@ -238,6 +331,21 @@ def _central_diff(loss_fn, arr, h=1e-6):
 
 MASK = np.array([[True, True, False], [True, False, False], [True, True, True]])
 WEIGHTS = np.array([[0.3, -1.2, 0.8], [1.5, 0.4, -0.7], [-0.2, 0.9, 1.1]])
+SATURATED = np.full((3, 3), 40.0)  # tanh(40) is 1.0 in float64
+
+
+def gates_of(p):
+    """(3, 12) LSTM gate pre-activations, each gate a different map of p."""
+    return ad.concat([p, ad.scale(p, -0.5), ad.tanh(p), ad.scale(p, 1.5)])
+
+
+def nodes_of(p):
+    """(3, 3, 3) attention keys or nodes made from p."""
+    return ad.reshape(ad.concat([ad.tanh(p), p, ad.scale(p, 0.3)]), (3, 3, 3))
+
+
+def weighted(t):
+    return ad.tsum(ad.mul(t, Tensor(WEIGHTS)))
 
 OP_CASES = {
     "affine_2d2d": lambda p: ad.tsum(ad.affine(p, p, ad.gather(p, 1))),
@@ -251,7 +359,29 @@ OP_CASES = {
     "scale": lambda p: ad.tsum(ad.scale(p, -2.5)),
     "relu": lambda p: ad.tsum(ad.relu(p)),
     "tanh": lambda p: ad.tsum(ad.tanh(p)),
-    "sigmoid": lambda p: ad.tsum(ad.sigmoid(p)),
+    # lstm_cell's input gate alone: with c = 0 and a saturated candidate,
+    # c' is exactly sigmoid(p).
+    "sigmoid": lambda p: ad.tsum(
+        ad.lstm_cell(ad.concat([p, p, p, Tensor(SATURATED)]), ad.zeros((3, 3)))[1]
+    ),
+    "lstm_cell_h": lambda p: weighted(ad.lstm_cell(gates_of(p), ad.zeros((3, 3)))[0]),
+    "lstm_cell_c": lambda p: weighted(ad.lstm_cell(gates_of(p), ad.zeros((3, 3)))[1]),
+    "lstm_cell_both": lambda p: (
+        lambda hc: weighted(hc[0]) + ad.tsum(ad.tanh(hc[1]))
+    )(ad.lstm_cell(gates_of(p), ad.zeros((3, 3)))),
+    # Two steps, so c' feeds the next cell as its state.
+    "lstm_cell_chain": lambda p: (
+        lambda hc: weighted(ad.lstm_cell(gates_of(hc[0]), hc[1])[0])
+    )(ad.lstm_cell(gates_of(p), ad.tanh(p))),
+    "additive_scores": lambda p: weighted(
+        ad.additive_scores(p, nodes_of(p), ad.gather(p, 2))
+    ),
+    "attend_context": lambda p: ad.tsum(
+        ad.tanh(ad.attend(ad.scale(p, 2.0), MASK, nodes_of(p))[0])
+    ),
+    "attend_both": lambda p: (
+        lambda cw: ad.tsum(ad.tanh(cw[0])) + weighted(cw[1])
+    )(ad.attend(ad.additive_scores(p, nodes_of(p), ad.gather(p, 0)), MASK, nodes_of(ad.tanh(p)))),
     "concat": lambda p: ad.tsum(ad.concat([ad.gather(p, 0), ad.gather(p, 2)])),
     "stack_max": lambda p: ad.tsum(
         ad.segment_max(
@@ -260,7 +390,9 @@ OP_CASES = {
             np.ones((1, 3), dtype=bool),
         )
     ),
-    "softmax": lambda p: ad.gather(ad.softmax(ad.gather(p, 1)), 0),
+    "softmax": lambda p: ad.gather(ad.reshape(
+        ad.attend(ad.gather(p, [1]), np.ones((1, 3), dtype=bool), ad.gather(nodes_of(p), [1]))[1], (3,)
+    ), 0),
     "log_softmax": lambda p: ad.gather(ad.log_softmax(ad.gather(p, 1)), 2),
     # p receives deferred outer products from vector and matrix products.
     "affine_shared_weight": lambda p: (
@@ -272,7 +404,9 @@ OP_CASES = {
     ),
     # Non-leaf matrices receive deferred pairs, then backpropagate them.
     "nonleaf_pairs": lambda p: (
-        ad.tsum(ad.tanh(ad.affine(ad.softmax(ad.gather(p, 1)), ad.tanh(p), ad.gather(p, 0))))
+        ad.tsum(ad.tanh(ad.affine(
+            ad.attend(p, MASK, nodes_of(p))[1], ad.tanh(p), ad.gather(p, 0)
+        )))
         + ad.tsum(ad.tanh(ad.affine(
             ad.gather(p, [2, 0]), ad.reshape(ad.gather(p, 0), (3, 1)), ad.gather(ad.gather(p, 1), [2])
         )))
@@ -292,7 +426,7 @@ OP_CASES = {
             Tensor(WEIGHTS),
         )
     ),
-    "masked_softmax": lambda p: ad.tsum(ad.mul(ad.softmax(p, MASK), Tensor(WEIGHTS))),
+    "masked_softmax": lambda p: weighted(ad.attend(p, MASK, nodes_of(p))[1]),
     "gather_2d_repeated": lambda p: ad.tsum(
         ad.tanh(ad.gather(p, np.array([[0, 2], [2, 2]])))
     ),
@@ -403,19 +537,28 @@ def test_modes_are_local_to_a_thread():
 def test_forward_values_stay_finite():
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(size=(4, 4)) * 10)
-    for op in (ad.relu, ad.tanh, ad.sigmoid):
+    for op in (ad.relu, ad.tanh):
         assert np.isfinite(op(x).data).all()
-    assert np.isfinite(ad.softmax(Tensor([-1e4, 0.0, 1e4])).data).all()
+    h, c = ad.lstm_cell(ad.concat([x] * 4), x)
+    assert np.isfinite(h.data).all() and np.isfinite(c.data).all()
+    assert np.isfinite(attend_weights([-1e4, 0.0, 1e4])).all()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_sigmoid_saturates_without_floating_point_errors(dtype):
-    x = np.array([-1e4, -50.0, 0.0, 50.0, 1e4], dtype=dtype)
+    # lstm_cell's gates: with c = 0 and the candidate saturated at +1e4,
+    # c' is the input gate's sigmoid; backward through both outputs too.
+    x = np.array([[-1e4, -50.0, 0.0, 50.0, 1e4]], dtype=dtype)
     with ad.default_dtype(dtype), np.errstate(all="raise"):
-        out = ad.sigmoid(Tensor(x)).data
-    assert out.dtype == dtype
+        gates = param(np.concatenate([x, x, x, np.full_like(x, 1e4)], axis=1))
+        h, c = ad.lstm_cell(gates, ad.zeros(x.shape))
+        (ad.tsum(h) + ad.tsum(c)).backward()
+    out = c.data
+    assert out.dtype == h.data.dtype == gates.grad.dtype == dtype
     assert ((out >= 0.0) & (out <= 1.0)).all()
-    assert out[0] == 0.0 and out[2] == 0.5 and out[-1] == 1.0
+    assert out[0, 0] == 0.0 and out[0, 2] == 0.5 and out[0, -1] == 1.0
+    assert np.isfinite(gates.grad).all()
+    assert (gates.grad[0, [0, 4, 5, 9, 10, 14]] == 0.0).all()  # saturated gates pass no gradient
 
 
 def test_grad_shape_matches_value_shape(f64):

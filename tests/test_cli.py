@@ -291,6 +291,20 @@ class TestConfigPlumbing:
         assert "--word-dim" in out
         assert "(default 300)" in out
 
+    def test_gradcheck_help_shows_the_defaults_it_runs_with(self, capsys):
+        import re
+
+        from sql2text.cli import _GRADCHECK_DEFAULTS
+
+        with pytest.raises(SystemExit):
+            main(["gradcheck", "--help"])
+        out = capsys.readouterr().out
+        for name, value in _GRADCHECK_DEFAULTS.items():
+            flag = "--" + name.replace("_", "-")
+            shown = re.findall(rf"{flag} \S+\s+\(default ([^)]*)\)", out)
+            assert shown == [str(value)], (flag, shown)
+            assert f"  {name} (default {value!r})" in out
+
     def test_usage_error_exit_code(self):
         parser = build_arg_parser()
         with pytest.raises(SystemExit) as exc:

@@ -64,7 +64,9 @@ def memory_of(nodes: Tensor, store, cfg):
 
 def first_distribution(state, memory, store, cfg) -> np.ndarray:
     state = decoder_step(state, memory, store, cfg)
-    return ad.softmax(next_token_logits(state, store)).data[0], state
+    logits = next_token_logits(state, store).data[0]
+    e = np.exp(logits - logits.max())
+    return e / e.sum(), state
 
 
 class TestInitState:

@@ -221,7 +221,7 @@ class TestFiniteDifferenceCheck:
 
         def loss(s):
             hidden = ad.tanh(ad.affine(Tensor(x), s["w1"], Tensor(np.zeros(5))))
-            return ad.tsum(ad.sigmoid(ad.affine(hidden, s["w2"], Tensor(np.zeros(3)))))
+            return ad.tsum(ad.tanh(ad.affine(hidden, s["w2"], Tensor(np.zeros(3)))))
 
         err = finite_difference_check(loss, store, samples=35, rng=np.random.default_rng(2))
         assert err < 1e-3
@@ -236,7 +236,7 @@ class TestFiniteDifferenceCheck:
 
         def loss(s):
             hidden = ad.tanh(ad.affine(Tensor(x), s["w1"], Tensor(np.zeros(5))))
-            return ad.tsum(ad.sigmoid(ad.affine(hidden, s["w2"], Tensor(np.zeros(3)))))
+            return ad.tsum(ad.tanh(ad.affine(hidden, s["w2"], Tensor(np.zeros(3)))))
 
         err = finite_difference_check(loss, store, samples=35, rng=np.random.default_rng(2))
         assert err < 1e-6

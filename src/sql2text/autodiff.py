@@ -19,9 +19,10 @@ Weight and embedding-lookup gradients are not summed as they arrive.
 ``affine`` stores the operand pair of each outer product on its weight
 matrix and ``gather`` stores each looked-up index with its gradient; when
 the reverse sweep reaches the matrix, all stored pairs become its
-gradient in one GEMM and all stored rows in one scatter-add.  So each
-weight gradient is built once per backward, and an embedding's cost does
-not grow with the vocabulary.
+gradient in one GEMM and all stored rows in one ``np.add.at`` on the
+flattened gradient, numpy's fast 1-D scatter.  So each weight gradient is
+built once per backward, and an embedding's cost does not grow with the
+vocabulary.  ``segment_max`` also scatters its gradient that way.
 
 :meth:`Tensor.backward` consumes the graph it sweeps, freeing each
 activation and intermediate gradient once passed; only leaf gradients
@@ -205,8 +206,12 @@ def _flush(t: Tensor) -> None:
         t._rows = None
         if t.grad is None:
             t.grad = np.zeros_like(t.data)
-        # add.at sums repeated indices; fancy-index += would keep only one.
-        np.add.at(t.grad, np.concatenate(index), np.concatenate(gs))
+        t.grad = np.ascontiguousarray(t.grad)  # so reshape(-1) is a view
+        # add.at sums repeated indices (fancy-index += keeps one); at flat
+        # positions it adds what it would at rows, in its fast 1-D loop.
+        width = t.data[0].size
+        flat = (np.concatenate(index)[:, None] * width + np.arange(width)).reshape(-1)
+        np.add.at(t.grad.reshape(-1), flat, np.concatenate(gs).reshape(-1))
 
 
 def _records(parents: Sequence[Tensor]) -> bool:
@@ -339,7 +344,7 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
 def gather(m: Tensor, index) -> Tensor:
     """Rows of m at an int index of any shape (a scalar picks one row, or
     one element of a vector); repeated indices add up their gradients,
-    which are deferred as (index, g) pairs to one scatter-add."""
+    which are deferred as (index, g) pairs to one flat scatter-add."""
     index = np.asarray(index, dtype=np.intp)
     out = np.asarray(m.data[index])
     flat = index.reshape(-1)
@@ -376,21 +381,31 @@ def segment_max(m: Tensor, index: np.ndarray, valid: np.ndarray) -> Tensor:
     valid[r, k], or zero if there is none; index and valid are (s, j >= 1)
     and padded entries must still be row numbers of m.  Each coordinate's
     gradient goes to the first position holding the max (ties: lowest k).
+    Recorded, it makes one pass per column k, over the rows valid there.
     """
     if index.ndim != 2 or index.shape != valid.shape or index.shape[1] < 1:
         raise AutodiffError(f"segment_max: bad index/mask shapes {index.shape}, {valid.shape}")
-    picked = np.where(valid[:, :, None], m.data[index], -np.inf)
-    empty = ~valid.any(axis=1, keepdims=True)
-    out = np.where(empty, 0.0, picked.max(axis=1))
-    if not _records((m,)):
-        return _result(out, (m,), None)
-    cols = np.arange(m.data.shape[1])
-    src = np.take_along_axis(index, picked.argmax(axis=1), axis=1)  # (s, d) source rows
+    filled = valid.any(axis=1)
+    if not _records((m,)):  # one max over the padded (s, j, d) block: fastest on one query
+        picked = np.where(valid[:, :, None], m.data[index], -np.inf)
+        return _result(np.where(filled[:, None], picked.max(axis=1), 0.0), (m,), None)
+    d = m.data.shape[1]
+    out = np.full((index.shape[0], d), -np.inf, dtype=m.data.dtype)
+    src = np.repeat(index[:, :1], d, axis=1)  # (s, d) source rows
+    for k in range(index.shape[1]):
+        rows = np.flatnonzero(valid[:, k])
+        ids = index[rows, k]
+        cand, best = m.data[ids], out[rows]
+        # Strictly greater keeps the lowest k on a tie; np.maximum keeps NaNs.
+        src[rows] = np.where(cand > best, ids[:, None], src[rows])
+        out[rows] = np.maximum(best, cand)
+    out[~filled] = 0.0
+    flat = (src[filled] * d + np.arange(d)).reshape(-1)  # source positions in m
 
     def backward(g):
-        gm = np.zeros_like(m.data)
-        np.add.at(gm, (src, cols), np.where(empty, 0.0, g))
-        _accumulate(m, gm)
+        gm = np.zeros(m.data.size, dtype=m.data.dtype)
+        np.add.at(gm, flat, g[filled].reshape(-1))
+        _accumulate(m, gm.reshape(m.data.shape))
 
     return _result(out, (m,), backward)
 

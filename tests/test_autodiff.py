@@ -9,6 +9,10 @@ from hypothesis import strategies as st
 
 from sql2text import autodiff as ad
 from sql2text.autodiff import AutodiffError, Tensor
+from sql2text.data import ExamplePair, tokenize_text
+from sql2text.graphs import template_interpret
+from sql2text.parser import parse
+from sql2text.training import TrainConfig, train
 
 
 @pytest.fixture
@@ -109,6 +113,170 @@ class TestMaxReduce:
         ad.tsum(out).backward()
         # Row 1 repeats m[1] twice: its gradient is counted once.
         assert np.array_equal(m.grad, [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("recorded", [True, False])
+    def test_nan_propagates_to_its_row_and_column(self, recorded):
+        m = param([[1.0, 2.0], [np.nan, 0.0], [3.0, -1.0]])
+        index = np.array([[0, 1, 2], [2, 0, 0], [1, 0, 0]])
+        valid = np.array([[True, True, True], [True, True, False], [False, False, False]])
+        if recorded:
+            out = ad.segment_max(m, index, valid)
+        else:
+            with ad.no_grad():
+                out = ad.segment_max(m, index, valid)
+        assert out.requires_grad == recorded
+        # Only row 0 reads m[1]; its NaN shows in column 0 there and nowhere else.
+        assert np.isnan(out.data[0, 0])
+        assert np.array_equal(out.data[0, 1:], [2.0])
+        assert np.array_equal(out.data[1:], [[3.0, 2.0], [0.0, 0.0]])
+
+
+def reference_segment_max(m, index, valid):
+    """segment_max as one max over the padded (s, j, d) block, the argmax
+    of that block for the source rows and a 2-D scatter-add backward."""
+    picked = np.where(valid[:, :, None], m.data[index], -np.inf)
+    empty = ~valid.any(axis=1, keepdims=True)
+    out = np.where(empty, 0.0, picked.max(axis=1))
+    if not ad._records((m,)):
+        return ad._result(out, (m,), None)
+    cols = np.arange(m.data.shape[1])
+    src = np.take_along_axis(index, picked.argmax(axis=1), axis=1)
+
+    def backward(g):
+        gm = np.zeros_like(m.data)
+        np.add.at(gm, (src, cols), np.where(empty, 0.0, g))
+        ad._accumulate(m, gm)
+
+    return ad._result(out, (m,), backward)
+
+
+def reference_flush(t):
+    """_flush with the deferred rows scattered by a 2-D np.add.at."""
+    if t._pairs is not None:
+        us, vs = t._pairs
+        t._pairs = None
+        ad._accumulate(t, np.concatenate(us).T @ np.concatenate(vs))
+    if t._rows is not None:
+        index, gs = t._rows
+        t._rows = None
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+        np.add.at(t.grad, np.concatenate(index), np.concatenate(gs))
+
+
+def _segment_max_case(name, rng):
+    """(m, index, valid) for one of the named segment_max cases."""
+    if name == "random_mask":  # masks that are not prefixes
+        m = rng.normal(size=(9, 6))
+        index = rng.integers(0, 9, size=(7, 4))
+        valid = rng.random((7, 4)) < 0.6
+    elif name == "empty_rows_and_columns":
+        m = rng.normal(size=(5, 3))
+        index = rng.integers(0, 5, size=(6, 5))
+        valid = rng.random((6, 5)) < 0.7
+        valid[[0, 3]] = False
+        valid[:, [1, 4]] = False
+    elif name == "one_row_max_everywhere":
+        m = rng.normal(size=(6, 4))
+        m[2] += 10.0
+        index = rng.integers(0, 6, size=(8, 3))
+        index[:, 1] = 2
+        valid = np.ones((8, 3), dtype=bool)
+        valid[7] = False
+    elif name == "integer_ties":
+        m = rng.integers(-2, 3, size=(7, 5)).astype(float)
+        index = rng.integers(0, 7, size=(9, 4))
+        valid = rng.random((9, 4)) < 0.8
+    else:  # prefix masks, as padded_index builds them
+        m = rng.normal(size=(12, 8))
+        sizes = rng.integers(0, 4, size=10)
+        valid = np.arange(3) < sizes[:, None]
+        index = np.where(valid, rng.integers(0, 12, size=(10, 3)), 0)
+    return m, index, valid
+
+
+SEGMENT_CASES = ["random_mask", "empty_rows_and_columns", "one_row_max_everywhere", "integer_ties", "prefix_masks"]
+
+
+class TestKernelsMatchReferenceBitwise:
+    """segment_max and the deferred row scatter give the values and
+    gradients of the padded, 2-D reference formulation, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", SEGMENT_CASES)
+    def test_segment_max(self, case, dtype):
+        m0, index, valid = _segment_max_case(case, np.random.default_rng(SEGMENT_CASES.index(case)))
+        upstream = np.random.default_rng(9).normal(size=(index.shape[0], m0.shape[1]))
+        results = []
+        with ad.default_dtype(dtype):
+            for fn in (ad.segment_max, reference_segment_max):
+                m = param(m0)
+                out = fn(m, index, valid)
+                with ad.no_grad():
+                    plain = fn(Tensor(m0), index, valid)
+                ad.tsum(ad.mul(out, Tensor(upstream))).backward()
+                results.append((out.data, plain.data, m.grad))
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_gather_scatter_with_repeated_indices(self, dtype, order, monkeypatch):
+        rng = np.random.default_rng(4)
+        m0 = np.asarray(rng.normal(size=(6, 5)), order=order)
+        indices = [np.array([1, 1, 4, 1, 0, 4]), np.array([[3, 1], [1, 1], [5, 3]]), np.array(1)]
+        weights = [rng.normal(size=np.shape(i) + (5,)) for i in indices]
+        grads = []
+        for flush in (ad._flush, reference_flush):
+            monkeypatch.setattr(ad, "_flush", flush)
+            with ad.default_dtype(dtype):
+                m = Tensor(m0, requires_grad=True)
+                # m's own product term reaches its gradient before the scatter.
+                terms = [ad.mul(m, Tensor(np.full(m0.shape, 0.5)))]
+                terms += [ad.mul(ad.gather(m, i), Tensor(w)) for i, w in zip(indices, weights)]
+                ad.tsum(ad.concat([ad.reshape(t, (-1,)) for t in terms], axis=0)).backward()
+                grads.append(m.grad)
+        assert grads[0].dtype == grads[1].dtype == dtype
+        assert np.array_equal(grads[0], grads[1])
+
+    def test_vector_gather_scatter(self):
+        v = param(np.arange(5.0))
+        ad.tsum(ad.gather(v, [3, 0, 3, 3])).backward()
+        assert np.array_equal(v.grad, [1.0, 0.0, 0.0, 3.0, 0.0])
+
+
+TINY_QUERIES = (
+    "SELECT a WHERE NOT (b = val_0 OR c > val_1) AND d < val_2",
+    "SELECT MAX(e)",
+    "SELECT f, g WHERE h = val_0",
+    "SELECT a, b, c WHERE d = val_0 AND e = val_1 AND f > val_2",
+    "SELECT g WHERE (h < val_0 OR a = val_1) AND b <= val_2",
+)
+
+
+def _train_tiny(ge_method, undirected):
+    pairs = [ExamplePair(sql, tokenize_text(template_interpret(parse(sql)))) for sql in TINY_QUERIES]
+    config = TrainConfig(
+        word_dim=5, hidden=4, hop_size=2, epochs=2, batch_size=3, seed=3,
+        ge_method=ge_method, undirected=undirected,
+    )
+    model = train(config, pairs).model
+    outputs = [(model.generate(sql, greedy=True), model.generate(sql, beam_size=3)) for sql in TINY_QUERIES]
+    return model.store.state_arrays(), outputs
+
+
+@pytest.mark.parametrize("ge_method", ["pooling", "supernode"])
+@pytest.mark.parametrize("undirected", [False, True])
+def test_training_matches_reference_kernels_bitwise(ge_method, undirected, monkeypatch):
+    params, outputs = _train_tiny(ge_method, undirected)
+    monkeypatch.setattr(ad, "segment_max", reference_segment_max)
+    monkeypatch.setattr(ad, "_flush", reference_flush)
+    ref_params, ref_outputs = _train_tiny(ge_method, undirected)
+    assert params.keys() == ref_params.keys()
+    for name in params:
+        assert params[name].tobytes() == ref_params[name].tobytes(), name
+    assert outputs == ref_outputs
 
 
 def attend_weights(scores) -> np.ndarray:

@@ -35,7 +35,7 @@ from .graphs import (
     template_interpret,
     to_undirected,
 )
-from .model import GraphToSequenceModel
+from .model import GraphToSequenceModel, query_graph
 from .optim import (
     AdamState,
     ParameterStore,
@@ -82,6 +82,7 @@ __all__ = [
     "template_interpret",
     "to_undirected",
     "GraphToSequenceModel",
+    "query_graph",
     "AdamState",
     "ParameterStore",
     "adam_step",

@@ -28,8 +28,8 @@ from .checkpoint import (
 from .config import TrainConfig
 from .data import ExamplePair, build_vocab, ingest_dataset, tokenize_text
 from .evaluation import evaluate_model, write_report
-from .graphs import build_graph, template_interpret, to_dot, to_json_dict, to_undirected
-from .model import GraphToSequenceModel
+from .graphs import template_interpret, to_dot, to_json_dict
+from .model import GraphToSequenceModel, query_graph
 from .optim import finite_difference_check, randomize_parameters
 from .parser import SqlParseError, parse
 from .training import TrainingDivergedError, train, write_metrics_csv
@@ -123,9 +123,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 def cmd_graphify(args: argparse.Namespace) -> int:
     for sql in _iter_queries(args):
-        graph = build_graph(parse(sql, anonymize=args.anonymize))
-        if args.undirected:
-            graph = to_undirected(graph)
+        graph = query_graph(parse(sql, anonymize=args.anonymize), args.undirected)
         if args.format == "dot":
             print(to_dot(graph))
         else:
@@ -139,18 +137,19 @@ def cmd_template(args: argparse.Namespace) -> int:
     return 0
 
 
+def _ingest(path, kind: str = "") -> list[ExamplePair]:
+    """The dataset's pairs, after a warning for each skipped line."""
+    ingest = ingest_dataset(path)
+    for line_no, reason in ingest.skipped:
+        print(f"warning: skipped {kind}line {line_no}: {reason}", file=sys.stderr)
+    return ingest.pairs
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     config = _effective_config(args)
-    ingest = ingest_dataset(args.train)
-    for line_no, reason in ingest.skipped:
-        print(f"warning: skipped line {line_no}: {reason}", file=sys.stderr)
-    dev_pairs = []
-    if args.dev:
-        dev_ingest = ingest_dataset(args.dev)
-        for line_no, reason in dev_ingest.skipped:
-            print(f"warning: skipped dev line {line_no}: {reason}", file=sys.stderr)
-        dev_pairs = dev_ingest.pairs
-    result = train(config, ingest.pairs, dev_pairs)
+    train_pairs = _ingest(args.train)
+    dev_pairs = _ingest(args.dev, "dev ") if args.dev else []
+    result = train(config, train_pairs, dev_pairs)
     save_checkpoint(args.out, result.checkpoint)
     if args.metrics:
         write_metrics_csv(args.metrics, result.metrics, config)
@@ -173,10 +172,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model = restore_model(ckpt)
-    ingest = ingest_dataset(args.test)
-    for line_no, reason in ingest.skipped:
-        print(f"warning: skipped line {line_no}: {reason}", file=sys.stderr)
-    report = evaluate_model(model, ingest.pairs, beam_size=args.beam)
+    report = evaluate_model(model, _ingest(args.test), beam_size=args.beam)
     if args.report:
         write_report(args.report, report, ckpt.config)
     print(f"corpus BLEU-4: {report.corpus_bleu4:.6f} ({report.corpus_bleu4 * 100.0:.2f} x100)")
@@ -188,7 +184,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     sql = "select name where age > val_0 and salary > val_1"
     text = template_interpret(parse(sql))
     pair = ExamplePair(sql, tokenize_text(text))
-    src_vocab, tgt_vocab = build_vocab([pair])
+    graph = query_graph(sql, config.undirected)
+    src_vocab, tgt_vocab = build_vocab([pair], graphs={sql: graph})
     precisions = (
         ["float32", "float64"] if args.precision_mode == "both" else [args.precision_mode]
     )
@@ -197,7 +194,6 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     for precision in precisions:
         model = GraphToSequenceModel(src_vocab, tgt_vocab, replace(config, precision=precision))
         randomize_parameters(model.store, np.random.default_rng(config.seed + 1))
-        graph = model.prepare(sql)
 
         def loss_fn(store):
             return model.loss([graph], [pair.target], train=False)[0]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import SUPER_TOKEN, build_graph
+from .graphs import SUPER_TOKEN, QueryGraph, build_graph
 from .parser import SqlParseError, parse
 
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
@@ -143,14 +143,15 @@ def ingest_dataset(path) -> IngestResult:
 
 
 def build_vocab(
-    pairs: list[ExamplePair], min_freq: int = 1
+    pairs: list[ExamplePair], min_freq: int = 1, graphs: dict[str, QueryGraph] | None = None
 ) -> tuple[Vocabulary, Vocabulary]:
-    """(source vocabulary over node-text tokens, target vocabulary over
-    interpretation tokens)."""
+    """(source vocabulary over the node-text tokens of ``graphs[sql]``, or
+    of each query's directed graph without ``graphs``, target vocabulary
+    over interpretation tokens)."""
     src_counts: Counter = Counter()
     tgt_counts: Counter = Counter()
     for pair in pairs:
-        graph = build_graph(parse(pair.sql))
+        graph = graphs[pair.sql] if graphs is not None else build_graph(parse(pair.sql))
         for node in graph.nodes:
             src_counts.update(node.text)
         tgt_counts.update(pair.target)
@@ -162,7 +163,8 @@ def build_vocab(
 def load_pretrained_vectors(path, vocab: Vocabulary, matrix: np.ndarray) -> float:
     """Overwrite embedding rows from a whitespace text file of
     ``token v1 ... vD`` lines; returns the fraction of non-special
-    vocabulary tokens covered."""
+    vocabulary tokens covered.  A wrong value count, or a non-numeric or
+    non-finite value in a copied row, raises ValueError naming the line."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"vector file not found: {path}")
@@ -181,7 +183,13 @@ def load_pretrained_vectors(path, vocab: Vocabulary, matrix: np.ndarray) -> floa
             if token in vocab:
                 idx = vocab.id(token)
                 if idx >= len(SPECIAL_TOKENS):
-                    matrix[idx] = np.asarray([float(v) for v in values], dtype=matrix.dtype)
+                    try:
+                        row = np.asarray([float(v) for v in values], dtype=matrix.dtype)
+                    except ValueError as exc:
+                        raise ValueError(f"{path}: line {line_no}: {exc}") from None
+                    if not np.isfinite(row).all():
+                        raise ValueError(f"{path}: line {line_no} has a non-finite value")
+                    matrix[idx] = row
                     covered += 1
     denom = len(vocab) - len(SPECIAL_TOKENS)
     return covered / denom if denom else 0.0

@@ -11,30 +11,31 @@ from .config import TrainConfig
 from .data import ExamplePair, tokenize_text
 from .evaluation import bleu4_corpus
 from .graphs import template_interpret
-from .parser import SqlParseError, parse
+from .parser import SqlParseError, SqlQuery, parse
 from .training import train
 
 
-def check_sql_list(X) -> list[str]:
-    """Validate a list of SQL strings; raises ValueError naming the first
-    offending index."""
+def check_sql_list(X) -> tuple[list[str], list[SqlQuery]]:
+    """Validate a list of SQL strings and return it with the parsed
+    queries; raises ValueError naming the first offending index."""
     if isinstance(X, str):
         raise ValueError("X must be a sequence of SQL strings, not a single string")
     X = list(X)
     if not X:
         raise ValueError("X is empty")
+    queries = []
     for i, sql in enumerate(X):
         if not isinstance(sql, str):
             raise ValueError(f"X[{i}] is not a string")
         try:
-            parse(sql)
+            queries.append(parse(sql))
         except SqlParseError as exc:
             raise ValueError(f"X[{i}] does not parse: {exc}") from exc
-    return X
+    return X, queries
 
 
 def check_paired_text(X, y) -> tuple[list[str], list[str]]:
-    X = check_sql_list(X)
+    X, _ = check_sql_list(X)
     y = list(y)
     if len(X) != len(y):
         raise ValueError(f"X and y length mismatch: {len(X)} vs {len(y)}")
@@ -111,8 +112,8 @@ class SqlToTextGenerator(_ParamsMixin):
 
     def predict(self, X) -> list[str]:
         self._require_fitted()
-        X = check_sql_list(X)
-        return [" ".join(self.model_.generate(sql, beam_size=self.beam_size)) for sql in X]
+        _, queries = check_sql_list(X)
+        return [" ".join(self.model_.generate(q, beam_size=self.beam_size)) for q in queries]
 
     def score(self, X, y) -> float:
         self._require_fitted()
@@ -142,8 +143,8 @@ class TemplateInterpreter(_ParamsMixin):
         return self
 
     def predict(self, X) -> list[str]:
-        X = check_sql_list(X)
-        return [template_interpret(parse(sql)) for sql in X]
+        _, queries = check_sql_list(X)
+        return [template_interpret(query) for query in queries]
 
     def score(self, X, y) -> float:
         X, y = check_paired_text(X, y)

@@ -14,6 +14,12 @@ from .optim import ParameterStore
 from .parser import SqlQuery, parse
 
 
+def query_graph(query: SqlQuery | str, undirected: bool) -> QueryGraph:
+    """The graph the model reads for a query: the one path from SQL to graph."""
+    graph = build_graph(parse(query) if isinstance(query, str) else query)
+    return to_undirected(graph) if undirected else graph
+
+
 class GraphToSequenceModel:
     """Graph encoder plus attention decoder over one parameter store."""
 
@@ -31,14 +37,6 @@ class GraphToSequenceModel:
         with default_dtype(config.precision):
             build_encoder_params(self.store, len(src_vocab), config, rng)
             build_decoder_params(self.store, len(tgt_vocab), config, rng)
-
-    def prepare(self, query: SqlQuery | str) -> QueryGraph:
-        if isinstance(query, str):
-            query = parse(query)
-        graph = build_graph(query)
-        if self.config.undirected:
-            graph = to_undirected(graph)
-        return graph
 
     def encode_graphs(self, graphs: list[QueryGraph]) -> tuple[Tensor, np.ndarray, Tensor]:
         """Padded node embeddings, node mask and graph embeddings of a batch."""
@@ -72,9 +70,10 @@ class GraphToSequenceModel:
         beam_size: int | None = None,
         greedy: bool = False,
     ) -> list[str]:
-        graph = query if isinstance(query, QueryGraph) else self.prepare(query)
+        if not isinstance(query, QueryGraph):
+            query = query_graph(query, self.config.undirected)
         with no_grad():
-            encoded = self.encode_graphs([graph])
+            encoded = self.encode_graphs([query])
         if greedy:
             ids = greedy_decode(*encoded, self.store, self.config)
         else:

@@ -14,7 +14,7 @@ from .checkpoint import ModelCheckpoint
 from .config import TrainConfig
 from .data import ExamplePair, build_vocab, load_pretrained_vectors
 from .evaluation import bleu4_corpus
-from .model import GraphToSequenceModel
+from .model import GraphToSequenceModel, query_graph
 from .optim import AdamState, adam_step, clip_engages, clip_gradients
 
 
@@ -48,17 +48,10 @@ class TrainResult:
     vector_coverage: float | None = None
 
 
-def _graph(model: GraphToSequenceModel, graphs: dict, sql: str):
-    """The query graph of sql, built on the first request only."""
-    if sql not in graphs:
-        graphs[sql] = model.prepare(sql)
-    return graphs[sql]
-
-
 def _dev_bleu(model: GraphToSequenceModel, pairs: list[ExamplePair], graphs: dict) -> float:
     hyps, refs = [], []
     for pair in pairs:
-        hyps.append(model.generate(_graph(model, graphs, pair.sql), greedy=True))
+        hyps.append(model.generate(graphs[pair.sql], greedy=True))
         refs.append(list(pair.target))
     return bleu4_corpus(hyps, refs).corpus_bleu4
 
@@ -75,7 +68,9 @@ def train(
     if not train_pairs:
         raise ValueError("training set is empty")
 
-    src_vocab, tgt_vocab = build_vocab(train_pairs, min_freq=config.min_freq)
+    sqls = dict.fromkeys(pair.sql for pair in [*train_pairs, *dev_pairs])
+    graphs = {sql: query_graph(sql, config.undirected) for sql in sqls}
+    src_vocab, tgt_vocab = build_vocab(train_pairs, config.min_freq, graphs)
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     model = GraphToSequenceModel(src_vocab, tgt_vocab, config)
     coverage = None
@@ -89,7 +84,6 @@ def train(
 
     shuffle_rng = np.random.default_rng(seeds[0])
     dropout_rng = np.random.default_rng(seeds[1])
-    graphs: dict[str, object] = {}
     adam = AdamState(lr=config.lr)
 
     metrics: list[EpochMetrics] = []
@@ -107,7 +101,7 @@ def train(
         for start in range(0, len(order), config.batch_size):
             batch = [train_pairs[int(i)] for i in order[start : start + config.batch_size]]
             total, tokens = model.loss(
-                [_graph(model, graphs, pair.sql) for pair in batch],
+                [graphs[pair.sql] for pair in batch],
                 [pair.target for pair in batch],
                 train=True,
                 rng=dropout_rng,

@@ -21,7 +21,7 @@ from sql2text.decoder import (
 from sql2text.encoder import build_encoder_params, init_node_features, propagate
 from sql2text.evaluation import bleu4_corpus, evaluate_model
 from sql2text.graphs import GraphNode, QueryGraph, build_graph, template_interpret, to_undirected
-from sql2text.model import GraphToSequenceModel
+from sql2text.model import GraphToSequenceModel, query_graph
 from sql2text.optim import ParameterStore, finite_difference_check, randomize_parameters
 from sql2text.parser import parse
 from sql2text.training import TrainConfig, train
@@ -82,7 +82,7 @@ def _gradcheck_fixture(precision: str):
     )
     model = GraphToSequenceModel(src, tgt, config)
     randomize_parameters(model.store, np.random.default_rng(1))
-    graph = model.prepare(sql)
+    graph = query_graph(sql, config.undirected)
     assert len(graph.nodes) == 3
 
     def loss_fn(store):
@@ -133,7 +133,7 @@ def test_gradient_oracle_every_branch(ge_method, attention, share, undirected):
     assert len({len(pair.target) for pair in pairs}) == len(pairs)
     model = GraphToSequenceModel(*build_vocab(pairs), config)
     randomize_parameters(model.store, np.random.default_rng(1))
-    graphs = [model.prepare(pair.sql) for pair in pairs]
+    graphs = [query_graph(pair.sql, config.undirected) for pair in pairs]
 
     def loss_fn(store):
         return model.loss(graphs, [pair.target for pair in pairs], train=False)[0]
@@ -261,7 +261,7 @@ def test_criterion_07_decoder_equivalences():
     src, tgt = build_vocab([ExamplePair(GOLDEN_QUERY, target)])
     config = TrainConfig(word_dim=6, hidden=6, hop_size=1, dropout=0.0, max_decode_len=12)
     model = GraphToSequenceModel(src, tgt, config)
-    graph = model.prepare(GOLDEN_QUERY)
+    graph = query_graph(GOLDEN_QUERY, config.undirected)
     for seed in range(50):
         randomize_parameters(model.store, np.random.default_rng(seed), scale=1.0)
         greedy = model.generate(graph, greedy=True)

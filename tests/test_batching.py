@@ -8,7 +8,7 @@ from sql2text.autodiff import default_dtype
 from sql2text.config import TrainConfig
 from sql2text.data import ExamplePair, build_vocab, tokenize_text
 from sql2text.graphs import template_interpret
-from sql2text.model import GraphToSequenceModel
+from sql2text.model import GraphToSequenceModel, query_graph
 from sql2text.optim import randomize_parameters
 from sql2text.parser import parse
 
@@ -45,7 +45,7 @@ def make_model(dropout=0.0, **overrides):
     )
     model = GraphToSequenceModel(src, tgt, config)
     randomize_parameters(model.store, np.random.default_rng(1))
-    graphs = [model.prepare(s) for s in SQLS]
+    graphs = [query_graph(s, config.undirected) for s in SQLS]
     return model, graphs, [p.target for p in pairs]
 
 

@@ -180,6 +180,26 @@ class TestTrainGenerateEvaluate:
         assert "config" in payload and "config_hash" in payload
         assert payload["config"]["word_dim"] == 8
 
+    def test_skipped_lines_are_warned_per_file(self, capsys, trained, tmp_path):
+        bad = json.dumps({"sql": "SELECT WHERE", "text": "broken"})
+        dev = tmp_path / "dev.jsonl"
+        dev.write_text(json.dumps({"sql": "SELECT z", "text": "which z"}) + "\n" + bad + "\n")
+        train_data = tmp_path / "train.jsonl"
+        train_data.write_text(bad + "\n" + trained["data"].read_text())
+        code, _, err = run(
+            capsys, "train", "--train", str(train_data), "--dev", str(dev),
+            "--out", str(tmp_path / "m.ckpt"), "--word-dim", "4", "--hidden", "4",
+            "--hop-size", "1", "--epochs", "1", "--undirected",
+        )
+        assert code == 0
+        assert err.splitlines()[0].startswith("warning: skipped line 1: ")
+        assert err.splitlines()[1].startswith("warning: skipped dev line 2: ")
+        code, out, err = run(
+            capsys, "evaluate", "--checkpoint", str(tmp_path / "m.ckpt"), "--test", str(dev)
+        )
+        assert code == 0 and "corpus BLEU-4" in out
+        assert err.startswith("warning: skipped line 2: ")
+
     def test_missing_checkpoint_is_runtime_error(self, capsys, trained):
         code, _, err = run(capsys, "generate", "--checkpoint", "/nonexistent.ckpt", "SELECT a")
         assert code == 1

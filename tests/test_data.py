@@ -190,6 +190,29 @@ class TestPretrainedVectors:
             load_pretrained_vectors(path, vocab, matrix)
         assert "expected 3" in str(err.value)
 
+    def test_non_numeric_value_names_file_and_line(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("a 1.0 2.0\nb 3.0 x\n", encoding="utf-8")
+        vocab = Vocabulary.from_counts(Counter({"a": 1, "b": 1}))
+        matrix = np.zeros((len(vocab), 2), dtype=np.float32)
+        with pytest.raises(ValueError) as err:
+            load_pretrained_vectors(path, vocab, matrix)
+        assert f"{path}: line 2" in str(err.value)
+        assert "'x'" in str(err.value)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        # 1e39 is finite as a Python float but overflows float32.
+        path = tmp_path / "vec.txt"
+        path.write_text(f"a 1.0 2.0\nb {value} 4.0\n", encoding="utf-8")
+        vocab = Vocabulary.from_counts(Counter({"a": 1, "b": 1}))
+        matrix = np.zeros((len(vocab), 2), dtype=np.float32)
+        with pytest.raises(ValueError) as err, np.errstate(over="ignore"):
+            load_pretrained_vectors(path, vocab, matrix)
+        assert f"{path}: line 2" in str(err.value)
+        assert "non-finite" in str(err.value)
+        assert np.isfinite(matrix).all()
+
     def test_uncovered_rows_keep_initialization(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("a 1.0 2.0\n", encoding="utf-8")

@@ -104,13 +104,33 @@ class TestBleuCorpus:
     @settings(deadline=None, max_examples=30)
     @given(st.integers(0, 10_000))
     def test_monotone_under_perfecting(self, seed):
+        # Holds for a hypothesis no longer than its reference: each pooled
+        # n-gram precision (M - m + t') / (T - t + t') stays >= M / T when
+        # t' >= t, and the corpus gets no shorter, so the brevity penalty
+        # cannot fall.
         rng = np.random.default_rng(seed)
         hyps, refs = random_corpus(rng, 6, min_len=4)
         base = bleu4_corpus(hyps, refs).corpus_bleu4
         for i in range(len(hyps)):
+            if len(hyps[i]) > len(refs[i]):
+                continue
             perfected = list(hyps)
             perfected[i] = list(refs[i])
             assert bleu4_corpus(perfected, refs).corpus_bleu4 >= base - 1e-12
+
+    def test_perfecting_a_long_hypothesis_can_lower_bleu(self):
+        # Seed 827, i=4: a 15-token hypothesis of a 4-token reference.
+        # Perfecting it shortens a corpus that is already too short, so the
+        # brevity penalty falls from 0.622 to 0.355.
+        hyps, refs = random_corpus(np.random.default_rng(827), 6, min_len=4)
+        assert (len(hyps[4]), len(refs[4])) == (15, 4)
+        perfected = list(hyps)
+        perfected[4] = list(refs[4])
+        before, after = bleu4_corpus(hyps, refs), bleu4_corpus(perfected, refs)
+        assert after.brevity_penalty < before.brevity_penalty
+        assert after.corpus_bleu4 < before.corpus_bleu4
+        assert before.corpus_bleu4 == pytest.approx(reference_bleu(hyps, refs), abs=1e-12)
+        assert after.corpus_bleu4 == pytest.approx(reference_bleu(perfected, refs), abs=1e-12)
 
     @settings(deadline=None, max_examples=50)
     @given(st.integers(0, 10_000))

@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from sql2text.checkpoint import (
     restore_model,
     save_checkpoint,
 )
-from sql2text.data import ExamplePair, tokenize_text
+from sql2text.data import ExamplePair, build_vocab, tokenize_text
 from sql2text.graphs import template_interpret
 from sql2text.optim import clip_engages
 from sql2text.parser import parse
@@ -113,6 +114,38 @@ class TestTrainLoop:
         vec.write_text(f"select {dims}\nwhich {dims}\n", encoding="utf-8")
         result = train(small_config(epochs=1, pretrained_vectors=str(vec)), toy_pairs())
         assert result.vector_coverage > 0.0
+
+
+class TestOneGraphPath:
+    DEV_SQLS = ["SELECT zeta WHERE omega > val0", "SELECT c"]
+
+    def dev_pairs(self):
+        texts = ["which zeta where omega more than val_0 unseen", "show c novel"]
+        return [ExamplePair(s, tokenize_text(t)) for s, t in zip(self.DEV_SQLS, texts)]
+
+    def test_each_distinct_query_is_parsed_once(self, monkeypatch):
+        import sql2text.data
+        import sql2text.model
+
+        calls = Counter()
+        for module in (sql2text.model, sql2text.data):
+            def counting(sql, *args, _parse=module.parse, **kwargs):
+                calls[sql] += 1
+                return _parse(sql, *args, **kwargs)
+
+            monkeypatch.setattr(module, "parse", counting)
+        pairs = toy_pairs() + toy_pairs()[:2]
+        train(small_config(epochs=2, min_freq=2), pairs, self.dev_pairs())
+        assert calls == Counter(set(SQLS) | set(self.DEV_SQLS))
+
+    @pytest.mark.parametrize("overrides", [{"undirected": True}, {"ge_method": "supernode"}])
+    def test_dev_data_stays_out_of_the_vocabulary(self, overrides):
+        pairs = toy_pairs()
+        result = train(small_config(epochs=1, **overrides), pairs, self.dev_pairs())
+        src_vocab, tgt_vocab = build_vocab(pairs, 1)
+        assert result.model.src_vocab == src_vocab
+        assert result.model.tgt_vocab == tgt_vocab
+        assert "zeta" not in src_vocab and "unseen" not in tgt_vocab
 
 
 class TestMetricsCsv:

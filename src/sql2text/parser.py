@@ -12,16 +12,17 @@ case-insensitive; identifiers are lowercased.  Multi-word column names go
 in double quotes, string values in single quotes.  JOIN, ORDER BY and
 friends are deliberately rejected.
 
-The tokenizer is one regex pass that records character offsets; only a
-``SqlParseError`` converts its offset to bytes of the UTF-8 input.
+The tokenizer is one regex pass giving each token's kind and text; only a
+``SqlParseError`` scans again for its token's byte offset in the UTF-8 input.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
-from functools import partial
-from typing import Iterable, NamedTuple, NoReturn, Optional, Union
+from itertools import islice
+from typing import Iterable, NoReturn, Optional, Union
 
 AGGREGATIONS = ("count", "max", "min", "sum", "avg")
 COMPARATORS = ("=", "!=", "<", ">", "<=", ">=")
@@ -121,70 +122,73 @@ def flatten(op: str, children: Iterable[LogicExpr]) -> LogicExpr:
 
 # --- tokenizer -------------------------------------------------------------
 
-# One match per token: leading whitespace, then exactly one named group.
-# ``eof`` matches only at the end of the input and ``bad`` any character
-# that starts no token.
+# One match per token: leading whitespace, then a token in group 1 (empty
+# only at the end of the input) or, in group 2, a character that starts no
+# token.  The token alternatives start on distinct characters, the common
+# kinds first.  Quoted text is unrolled, a run of plain characters after
+# each escape, so that the engine does not branch on every character.
 _TOKEN_RE = re.compile(
     r"""
     \s*(?:
-        (?P<cmp><=|>=|<>|!=|=|<|>|≠|≤|≥)
-      | (?P<comma>,)
-      | (?P<lparen>\()
-      | (?P<rparen>\))
-      | (?P<ident>"(?:[^"\\]|\\.)*")
-      | (?P<string>'(?:[^'\\]|\\.)*')
-      | (?P<number>-?\d+(?:\.\d+)?)
-      | (?P<word>[A-Za-z_][A-Za-z0-9_.]*)
-      | (?P<eof>\Z)
-      | (?P<bad>.)
+        ( [A-Za-z_][A-Za-z0-9_.]* | "[^"\\]*(?:\\.[^"\\]*)*" | <=|>=|<>|!=|[=<>≠≤≥]
+        | '[^'\\]*(?:\\.[^'\\]*)*' | -?\d+(?:\.\d+)? | [,()] | \Z )
+      | (.)
     )
     """,
     re.VERBOSE,
 )
 
+# A group-1 token's kind by its first character; any other first character
+# is a non-ASCII decimal digit, which starts a number.
+_KIND_BY_FIRST = {
+    **dict.fromkeys(string.ascii_letters + "_", "word"), **dict.fromkeys("<>=!≠≤≥", "cmp"),
+    **dict.fromkeys("-" + string.digits, "number"), '"': "ident", "'": "string",
+    ",": "comma", "(": "lparen", ")": "rparen", "": "eof",
+}
+
 _CMP_CANONICAL = {"<>": "!=", "≠": "!=", "≤": "<=", "≥": ">="}
 
+# A word's kind: each keyword is its own kind, so that the parser tests a
+# token with one comparison; other words are identifiers.
 _WORD_KINDS = {
-    **dict.fromkeys(("select", "where", "and", "or", "not"), "keyword"),
+    **{k: k for k in ("select", "where", "and", "or", "not")},
     **dict.fromkeys(AGGREGATIONS, "aggregation"),
     **dict.fromkeys(UNSUPPORTED_KEYWORDS, "unsupported"),
 }
 
 
-class _Token(NamedTuple):
-    kind: str  # a group name of _TOKEN_RE, or a _WORD_KINDS value for a word
-    text: str
-    pos: int  # character offset into the input
-
-
-def _byte_offset(text: str, pos: int) -> int:
-    return len(text[:pos].encode("utf-8"))
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        value, pos = m.group(kind), m.start(kind)
-        if kind == "cmp":
-            value = _CMP_CANONICAL.get(value, value)
-        elif kind == "ident" or kind == "string":
-            quote = value[0]
-            value = value[1:-1].replace("\\" + quote, quote).replace("\\\\", "\\").lower()
-        elif kind == "word":
+def _tokenize(text: str) -> tuple[list[str], list[str]]:
+    """The kinds and texts of the tokens of ``text``, ending with ``eof``."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    for value, bad in _TOKEN_RE.findall(text):
+        if bad:
+            raise SqlParseError(f"unexpected character {bad!r}", _offset(text, len(kinds)))
+        kind = _KIND_BY_FIRST.get(value[:1], "number")
+        if kind == "word":
             value = value.lower()
             kind = _WORD_KINDS.get(value, "ident")
             if kind == "unsupported":
-                raise UnsupportedSyntaxError(
-                    f"unsupported syntax: {value.upper()} is outside the dialect",
-                    _byte_offset(text, pos),
-                )
-        elif kind == "bad":
-            raise SqlParseError(f"unexpected character {value!r}", _byte_offset(text, pos))
-        tokens.append(_Token(kind, value, pos))
+                message = f"unsupported syntax: {value.upper()} is outside the dialect"
+                raise UnsupportedSyntaxError(message, _offset(text, len(kinds)))
+        elif kind == "ident" or kind == "string":
+            quote = value[0]
+            value = value[1:-1].replace("\\" + quote, quote).replace("\\\\", "\\").lower()
+        elif kind == "cmp":
+            value = _CMP_CANONICAL.get(value, value)
+        kinds.append(kind)
+        texts.append(value)
         if kind == "eof":
             break
-    return tokens
+    return kinds, texts
+
+
+def _offset(text: str, index: int) -> int:
+    """Offset in bytes of UTF-8 of token ``index`` of ``text``, where a lone
+    surrogate, which strict UTF-8 cannot encode, counts as 3 bytes.  Only
+    errors need an offset, so tokens record none: an error scans again."""
+    m = next(islice(_TOKEN_RE.finditer(text), index, None))
+    return len(text[: m.start(m.lastindex)].encode("utf-8", "surrogatepass"))
 
 
 # --- recursive-descent parser ----------------------------------------------
@@ -192,43 +196,40 @@ def _tokenize(text: str) -> list[_Token]:
 # Deepest nesting accepted, of parentheses in the text and of logical operators
 # in the AST: the parser and each walk over the AST recurse once per level.
 _MAX_DEPTH = 100
+_TOO_DEEP = f"query nested deeper than {_MAX_DEPTH} levels"
 
 
 class _Parser:
+    """Descent over the token kinds and texts; ``i`` is the next token."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.kinds, self.texts = _tokenize(text)
         self.i = 0
         self.parens = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def accept(self, kind: str, text: Optional[str] = None) -> Optional[_Token]:
-        """Consume and return the next token if it has this kind (and text)."""
-        tok = self.tokens[self.i]
-        if tok.kind == kind and (text is None or tok.text == text):
-            self.i += 1
-            return tok
+    def accept(self, kind: str) -> Optional[str]:
+        """Consume the next token if it has this kind and return its text."""
+        i = self.i
+        if self.kinds[i] == kind:
+            self.i = i + 1
+            return self.texts[i]
         return None
 
-    def fail(
-        self, message: str, expected: tuple[str, ...] = (), at: Optional[_Token] = None
-    ) -> NoReturn:
-        """Raise at token ``at``, by default at the next token."""
-        pos = (at or self.peek()).pos
-        raise SqlParseError(message, _byte_offset(self.text, pos), expected)
+    def fail(self, message: str, expected: tuple[str, ...] = (), at: Optional[int] = None) -> NoReturn:
+        """Raise at token index ``at``, by default at the next token."""
+        raise SqlParseError(message, _offset(self.text, self.i if at is None else at), expected)
 
     def query(self) -> SqlQuery:
-        select = self.accept("keyword", "select")
+        select = self.accept("select")
         aggregation = self.accept("aggregation")
         if not (select or aggregation):
-            self.fail(f"expected SELECT, found {self.peek().text or 'end of input'!r}", ("SELECT",))
+            self.fail(f"expected SELECT, found {self.texts[self.i] or 'end of input'!r}", ("SELECT",))
         columns = self.select_list()
-        where = self.logic("or")[0] if self.accept("keyword", "where") else None
-        if self.peek().kind != "eof":
-            self.fail(f"trailing input {self.peek().text!r}", ("end of input",))
-        return SqlQuery(aggregation and aggregation.text, tuple(columns), where)
+        where = self.logic("or")[0] if self.accept("where") else None
+        if self.kinds[self.i] != "eof":
+            self.fail(f"trailing input {self.texts[self.i]!r}", ("end of input",))
+        return SqlQuery(aggregation, tuple(columns), where)
 
     def select_list(self) -> list[str]:
         # An aggregation may wrap its columns in parentheses: COUNT(player).
@@ -241,74 +242,73 @@ class _Parser:
         return columns
 
     def column_name(self) -> str:
-        tok = self.accept("ident") or self.accept("number")
-        if tok is None:
-            found = self.peek().text or "end of input"
+        i = self.i
+        if self.kinds[i] not in ("ident", "number"):
+            found = self.texts[i] or "end of input"
             self.fail(f"expected a column name, found {found!r}", ("column name",))
-        name = tok.text.strip()
+        self.i = i + 1
+        name = self.texts[i].strip()
         if not name:
             self.fail("empty column name", ("column name",))
         return name
 
-    def check_depth(self, depth: int, tok: _Token) -> None:
-        if depth > _MAX_DEPTH:
-            self.fail(f"query nested deeper than {_MAX_DEPTH} levels", at=tok)
-
     def logic(self, op: str) -> tuple[LogicExpr, int]:
         """An OR of AND terms (op "or") or an AND of NOT terms (op "and"), and,
-        as from not_expr and primary, its operator depth (0 for a condition)."""
-        term = partial(self.logic, "and") if op == "or" else self.not_expr
-        terms, ops = [term()], []
-        while tok := self.accept("keyword", op):
-            ops.append(tok)
+        as from not_expr, its operator depth (0 for a condition)."""
+        term = (lambda: self.logic("and")) if op == "or" else self.not_expr
+        terms = [term()]
+        at = self.i  # the first operator, where a query too deep fails
+        while self.accept(op):
             terms.append(term())
-        if not ops:
+        if len(terms) == 1:
             return terms[0]
         # flatten() lifts the children of a same-operator term one level up.
-        depth = max(d if isinstance(e, BoolOp) and e.op == op else d + 1 for e, d in terms)
-        self.check_depth(depth, ops[0])
-        return flatten(op, [e for e, _ in terms]), depth
+        depth = 0
+        for expr, d in terms:
+            d += not (isinstance(expr, BoolOp) and expr.op == op)
+            depth = d if d > depth else depth
+        if depth > _MAX_DEPTH:
+            self.fail(_TOO_DEEP, at=at)
+        return flatten(op, [expr for expr, _ in terms]), depth
 
     def not_expr(self) -> tuple[LogicExpr, int]:
-        nots = []
-        while tok := self.accept("keyword", "not"):
-            nots.append(tok)
-        expr, depth = self.primary()
-        for tok in reversed(nots):
+        """A condition or a parenthesized OR under any NOTs, and its depth."""
+        kinds, first_not = self.kinds, self.i
+        while kinds[self.i] == "not":
+            self.i += 1
+        nots = self.i
+        if kinds[nots] != "lparen":
+            expr, depth = self.condition(), 0
+        else:
+            self.parens += 1
+            if self.parens > _MAX_DEPTH:
+                self.fail(_TOO_DEEP)
+            self.i += 1
+            expr, depth = self.logic("or")
+            if not self.accept("rparen"):
+                self.fail("unbalanced parentheses", (")",))
+            self.parens -= 1
+        while nots > first_not:  # the NOT tokens, innermost first
+            nots -= 1
             depth += 1
-            self.check_depth(depth, tok)
+            if depth > _MAX_DEPTH:
+                self.fail(_TOO_DEEP, at=nots)
             expr = BoolOp("not", (expr,))
         return expr, depth
 
-    def primary(self) -> tuple[LogicExpr, int]:
-        tok = self.accept("lparen")
-        if tok is None:
-            return self.condition(), 0
-        self.parens += 1
-        self.check_depth(self.parens, tok)
-        inner = self.logic("or")
-        if not self.accept("rparen"):
-            self.fail("unbalanced parentheses", (")",))
-        self.parens -= 1
-        return inner
-
     def condition(self) -> Condition:
         column = self.column_name()
-        comparator = self.accept("cmp")
-        if comparator is None:
+        kinds, texts, i = self.kinds, self.texts, self.i
+        if kinds[i] != "cmp":
             self.fail(f"expected a comparator after {column!r}", COMPARATORS)
-        tok = self.accept("ident") or self.accept("number") or self.accept("string")
-        if tok is None:
+        kind, text = kinds[i + 1], texts[i + 1]
+        if kind not in ("ident", "number", "string"):
+            self.i = i + 1
             self.fail("dangling comparator: expected a value", ("value",))
-        return Condition(column, comparator.text, _value_token(tok))
-
-
-def _value_token(tok: _Token) -> ValueToken:
-    if tok.kind == "ident":
-        m = _PLACEHOLDER_RE.match(tok.text)
-        if m:
-            return ValueToken("placeholder", f"val_{int(m.group(1))}")
-    return ValueToken("literal", tok.text)
+        self.i = i + 2
+        m = kind == "ident" and _PLACEHOLDER_RE.match(text)
+        value = ValueToken("placeholder", f"val_{int(m.group(1))}") if m else ValueToken("literal", text)
+        return Condition(column, texts[i], value)
 
 
 def _anonymize(query: SqlQuery) -> SqlQuery:

@@ -78,6 +78,13 @@ class TestParseCommand:
         assert out == ""
         assert f"nested deeper than {_MAX_DEPTH} levels" in err
 
+    def test_non_utf8_argument_before_an_error_exits_2(self, capsys):
+        # Python decodes the argument byte 0xff to the lone surrogate U+DCFF.
+        code, out, err = run(capsys, "parse", 'SELECT "\udcff" WHERE')
+        assert code == 2
+        assert out == ""
+        assert "at byte 18" in err
+
     def test_file_input_one_json_line_each(self, capsys, tmp_path):
         path = tmp_path / "queries.txt"
         path.write_text("SELECT a\nSELECT b\nSELECT c\n")
@@ -199,6 +206,17 @@ class TestTrainGenerateEvaluate:
         )
         assert code == 0 and "corpus BLEU-4" in out
         assert err.startswith("warning: skipped line 2: ")
+
+    def test_sql_with_a_lone_surrogate_is_a_skipped_line(self, capsys, trained, tmp_path):
+        train_data = tmp_path / "train.jsonl"
+        bad = json.dumps({"sql": 'SELECT "\ud800" WHERE', "text": "x"})
+        train_data.write_text(bad + "\n" + trained["data"].read_text())
+        code, _, err = run(
+            capsys, "train", "--train", str(train_data), "--out", str(tmp_path / "m.ckpt"),
+            "--word-dim", "4", "--hidden", "4", "--hop-size", "1", "--epochs", "1",
+        )
+        assert code == 0
+        assert err.splitlines()[0].startswith("warning: skipped line 1: ")
 
     def test_missing_checkpoint_is_runtime_error(self, capsys, trained):
         code, _, err = run(capsys, "generate", "--checkpoint", "/nonexistent.ckpt", "SELECT a")

@@ -63,6 +63,20 @@ class TestIngest:
         assert line_no == 2
         assert f"nested deeper than {_MAX_DEPTH} levels" in reason
 
+    def test_sql_with_a_lone_surrogate_skipped_with_reason(self, tmp_path):
+        # JSON's \ud800 escape decodes to a lone surrogate.
+        path = tmp_path / "data.jsonl"
+        write_jsonl(path, [
+            {"sql": 'SELECT "\ud800" WHERE', "text": "x"},
+            {"sql": "SELECT name", "text": "which name"},
+        ])
+        assert "\\ud800" in path.read_text(encoding="utf-8")
+        result = ingest_dataset(path)
+        assert len(result.pairs) == 1
+        (line_no, reason), = result.skipped
+        assert line_no == 1
+        assert reason.startswith("expected a column name, found 'end of input' at byte 18")
+
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"sql": "SELECT a", "text": "x"}\nnot json\n', encoding="utf-8")

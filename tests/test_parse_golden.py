@@ -1,7 +1,11 @@
-"""Parse outcomes of the restricted SQL dialect, recorded from the parser
-at 617d5bd (before the single-pass tokenizer) and not edited since: the
-AST as JSON for accepted input, and the error's class, message, byte
-offset and expected set for rejected input."""
+"""Parse outcomes of the restricted SQL dialect: the AST as JSON for
+accepted input, and the error's class, message, byte offset and expected
+set for rejected input.
+
+The rows above the ``# Recorded at c0f5148`` comment were recorded from
+the parser at 617d5bd (before the single-pass tokenizer), the rows below
+it from the parser at c0f5148 (before the tokenizer and descent were
+rewritten for speed). Neither set has been edited since."""
 
 import json
 from dataclasses import asdict
@@ -47,6 +51,72 @@ GOLDEN = [
     ('SELECT a WHERE b = 1 AND', {'error': ['SqlParseError', "expected a column name, found 'end of input' at byte 24 (expected one of: column name)", 24, ['column name']]}),
     ("SELECT a WHERE b = 'x'\xa0\u3000;", {'error': ['SqlParseError', "unexpected character ';' at byte 27", 27, []]}),
     ('SELECT count', {'error': ['SqlParseError', "expected a column name, found 'end of input' at byte 12 (expected one of: column name)", 12, ['column name']]}),
+    # Recorded at c0f5148: quoted-text escapes, tokens written without
+    # spaces, placeholder spellings, mixed-case keywords and nesting at the bound.
+    ('SELECT "a\\\\" WHERE b = 1', {'ast': {'aggregation': None, 'select_columns': ['a\\'], 'where': {'column': 'b', 'comparator': '=', 'value': {'kind': 'literal', 'text': '1'}}}}),
+    ("SELECT a WHERE b = 'it\\'s'", {'ast': {'aggregation': None, 'select_columns': ['a'], 'where': {'column': 'b', 'comparator': '=', 'value': {'kind': 'literal', 'text': "it's"}}}}),
+    ("SELECT a WHERE b = 'it\\''", {'ast': {'aggregation': None, 'select_columns': ['a'], 'where': {'column': 'b', 'comparator': '=', 'value': {'kind': 'literal', 'text': "it'"}}}}),
+    ('SELECT "a\\', {'error': ['SqlParseError', 'unexpected character \'"\' at byte 7', 7, []]}),
+    ("SELECT a WHERE b = 'x\\", {'error': ['SqlParseError', 'unexpected character "\'" at byte 19', 19, []]}),
+    ('SELECT "a\\\\\\"b\\\\\\"" WHERE c = \'\\\\\\\'\\\\\\\'\'', {'ast': {'aggregation': None, 'select_columns': ['a\\"b\\"'], 'where': {'column': 'c', 'comparator': '=', 'value': {'kind': 'literal', 'text': "\\'\\'"}}}}),
+    ("SELECT a WHERE b = ''", {'ast': {'aggregation': None, 'select_columns': ['a'], 'where': {'column': 'b', 'comparator': '=', 'value': {'kind': 'literal', 'text': ''}}}}),
+    ('SELECT a WHERE b = ""', {'ast': {'aggregation': None, 'select_columns': ['a'], 'where': {'column': 'b', 'comparator': '=', 'value': {'kind': 'literal', 'text': ''}}}}),
+    ('SELECT a WHERE "" = 1', {'error': ['SqlParseError', 'empty column name at byte 18 (expected one of: column name)', 18, ['column name']]}),
+    ('"" a', {'error': ['SqlParseError', "expected SELECT, found 'end of input' at byte 0 (expected one of: SELECT)", 0, ['SELECT']]}),
+    ('SELECT a WHERE b = 1 ""', {'error': ['SqlParseError', "trailing input '' at byte 21 (expected one of: end of input)", 21, ['end of input']]}),
+    ('SELECT COUNT(', {'error': ['SqlParseError', "expected a column name, found 'end of input' at byte 13 (expected one of: column name)", 13, ['column name']]}),
+    ('SELECT COUNT()', {'error': ['SqlParseError', "expected a column name, found ')' at byte 13 (expected one of: column name)", 13, ['column name']]}),
+    ('SELECT(a, b)', {'ast': {'aggregation': None, 'select_columns': ['a', 'b'], 'where': None}}),
+    ('SELECT a WHERE NOT(b = 1)', {'ast': {'aggregation': None, 'select_columns': ['a'], 'where': {'children': [{'column': 'b', 'comparator': '=', 'value': {'kind': 'literal', 'text': '1'}}], 'op': 'not'}}}),
+    ('SELECT a WHERE NOT(', {'error': ['SqlParseError', "expected a column name, found 'end of input' at byte 19 (expected one of: column name)", 19, ['column name']]}),
+    ('SELECT a WHERE b = 1.', {'error': ['SqlParseError', "unexpected character '.' at byte 20", 20, []]}),
+    ('SELECT a WHERE b = -', {'error': ['SqlParseError', "unexpected character '-' at byte 19", 19, []]}),
+    ('SELECT a WHERE b = - 1', {'error': ['SqlParseError', "unexpected character '-' at byte 19", 19, []]}),
+    ('SELECT 1.5.6 WHERE -2.5 = 1..2', {'error': ['SqlParseError', "unexpected character '.' at byte 10", 10, []]}),
+    ('SELECT a WHERE b = -٣.٤', {'ast': {'aggregation': None, 'select_columns': ['a'], 'where': {'column': 'b', 'comparator': '=', 'value': {'kind': 'literal', 'text': '-٣.٤'}}}}),
+    ('SeLeCt CoUnT a wHeRe b = 1 AnD nOt c = 2 oR d = 3', {'ast': {'aggregation': 'count', 'select_columns': ['a'], 'where': {'children': [{'children': [{'column': 'b', 'comparator': '=', 'value': {'kind': 'literal', 'text': '1'}}, {'children': [{'column': 'c', 'comparator': '=', 'value': {'kind': 'literal', 'text': '2'}}], 'op': 'not'}], 'op': 'and'}, {'column': 'd', 'comparator': '=', 'value': {'kind': 'literal', 'text': '3'}}], 'op': 'or'}}}),
+    ('SELECT a FrOm t', {'error': ['UnsupportedSyntaxError', 'unsupported syntax: FROM is outside the dialect at byte 9', 9, []]}),
+    ('sElEcT a WHERE b = 1 LiMiT 5', {'error': ['UnsupportedSyntaxError', 'unsupported syntax: LIMIT is outside the dialect at byte 21', 21, []]}),
+    ('SELECT a WHERE b = val_007 AND c = "val_٣" AND d = "val_²" AND e = val_ AND f = val_1.5 AND g = "VAL_2" AND h = \'val_1\'', {'ast': {'aggregation': None, 'select_columns': ['a'], 'where': {'children': [{'column': 'b', 'comparator': '=', 'value': {'kind': 'placeholder', 'text': 'val_7'}}, {'column': 'c', 'comparator': '=', 'value': {'kind': 'placeholder', 'text': 'val_3'}}, {'column': 'd', 'comparator': '=', 'value': {'kind': 'literal', 'text': 'val_²'}}, {'column': 'e', 'comparator': '=', 'value': {'kind': 'literal', 'text': 'val_'}}, {'column': 'f', 'comparator': '=', 'value': {'kind': 'literal', 'text': 'val_1.5'}}, {'column': 'g', 'comparator': '=', 'value': {'kind': 'placeholder', 'text': 'val_2'}}, {'column': 'h', 'comparator': '=', 'value': {'kind': 'literal', 'text': 'val_1'}}], 'op': 'and'}}}),
+    ('SELECT a WHERE b = xval_1 AND c = val__1 AND d = _val_1', {'ast': {'aggregation': None, 'select_columns': ['a'], 'where': {'children': [{'column': 'b', 'comparator': '=', 'value': {'kind': 'literal', 'text': 'xval_1'}}, {'column': 'c', 'comparator': '=', 'value': {'kind': 'literal', 'text': 'val__1'}}, {'column': 'd', 'comparator': '=', 'value': {'kind': 'literal', 'text': '_val_1'}}], 'op': 'and'}}}),
+    ('SELECT count count a', {'error': ['SqlParseError', "expected a column name, found 'count' at byte 13 (expected one of: column name)", 13, ['column name']]}),
+    ('SELECT SELECT a', {'error': ['SqlParseError', "expected a column name, found 'select' at byte 7 (expected one of: column name)", 7, ['column name']]}),
+    ('SELECT a WHERE b = and', {'error': ['SqlParseError', 'dangling comparator: expected a value at byte 19 (expected one of: value)', 19, ['value']]}),
+    ('SELECT a WHERE b = select', {'error': ['SqlParseError', 'dangling comparator: expected a value at byte 19 (expected one of: value)', 19, ['value']]}),
+    ('SELECT a WHERE b = max', {'error': ['SqlParseError', 'dangling comparator: expected a value at byte 19 (expected one of: value)', 19, ['value']]}),
+    ('SELECT a WHERE max = 1', {'error': ['SqlParseError', "expected a column name, found 'max' at byte 15 (expected one of: column name)", 15, ['column name']]}),
+    ('SELECT a WHERE b = 1 AND OR c = 2', {'error': ['SqlParseError', "expected a column name, found 'or' at byte 25 (expected one of: column name)", 25, ['column name']]}),
+    ('SELECT a WHERE b = 1 AND c = 2 OR d = 3 AND e = 4 OR NOT f = 5', {'ast': {'aggregation': None, 'select_columns': ['a'], 'where': {'children': [{'children': [{'column': 'b', 'comparator': '=', 'value': {'kind': 'literal', 'text': '1'}}, {'column': 'c', 'comparator': '=', 'value': {'kind': 'literal', 'text': '2'}}], 'op': 'and'}, {'children': [{'column': 'd', 'comparator': '=', 'value': {'kind': 'literal', 'text': '3'}}, {'column': 'e', 'comparator': '=', 'value': {'kind': 'literal', 'text': '4'}}], 'op': 'and'}, {'children': [{'column': 'f', 'comparator': '=', 'value': {'kind': 'literal', 'text': '5'}}], 'op': 'not'}], 'op': 'or'}}}),
+    ('SELECT a WHERE (b = 1 AND c = 2) AND (d = 3 AND e = 4)', {'ast': {'aggregation': None, 'select_columns': ['a'], 'where': {'children': [{'column': 'b', 'comparator': '=', 'value': {'kind': 'literal', 'text': '1'}}, {'column': 'c', 'comparator': '=', 'value': {'kind': 'literal', 'text': '2'}}, {'column': 'd', 'comparator': '=', 'value': {'kind': 'literal', 'text': '3'}}, {'column': 'e', 'comparator': '=', 'value': {'kind': 'literal', 'text': '4'}}], 'op': 'and'}}}),
+    ('SELECT a WHERE (b = 1 OR c = 2) OR (d = 3 OR (e = 4 OR f = 5))', {'ast': {'aggregation': None, 'select_columns': ['a'], 'where': {'children': [{'column': 'b', 'comparator': '=', 'value': {'kind': 'literal', 'text': '1'}}, {'column': 'c', 'comparator': '=', 'value': {'kind': 'literal', 'text': '2'}}, {'column': 'd', 'comparator': '=', 'value': {'kind': 'literal', 'text': '3'}}, {'column': 'e', 'comparator': '=', 'value': {'kind': 'literal', 'text': '4'}}, {'column': 'f', 'comparator': '=', 'value': {'kind': 'literal', 'text': '5'}}], 'op': 'or'}}}),
+    ('SELECT a WHERE ((b = 1))', {'ast': {'aggregation': None, 'select_columns': ['a'], 'where': {'column': 'b', 'comparator': '=', 'value': {'kind': 'literal', 'text': '1'}}}}),
+    ('SELECT ()', {'error': ['SqlParseError', "expected a column name, found ')' at byte 8 (expected one of: column name)", 8, ['column name']]}),
+    ('SELECT (a', {'error': ['SqlParseError', 'unbalanced parentheses in select list at byte 9 (expected one of: ))', 9, [')']]}),
+    ('SELECT a,', {'error': ['SqlParseError', "expected a column name, found 'end of input' at byte 9 (expected one of: column name)", 9, ['column name']]}),
+    ('SELECT a, , b', {'error': ['SqlParseError', "expected a column name, found ',' at byte 10 (expected one of: column name)", 10, ['column name']]}),
+    ('SELECT a WHERE b == 1', {'error': ['SqlParseError', 'dangling comparator: expected a value at byte 18 (expected one of: value)', 18, ['value']]}),
+    ('SELECT a WHERE b =< 1', {'error': ['SqlParseError', 'dangling comparator: expected a value at byte 18 (expected one of: value)', 18, ['value']]}),
+    ('SELECT a WHERE b <=> 1', {'error': ['SqlParseError', 'dangling comparator: expected a value at byte 19 (expected one of: value)', 19, ['value']]}),
+    ('SELECT a WHERE b ! 1', {'error': ['SqlParseError', "unexpected character '!' at byte 17", 17, []]}),
+    ('SELECT a WHERE b = !', {'error': ['SqlParseError', "unexpected character '!' at byte 19", 19, []]}),
+    ('SELECT\x1ca\x85WHERE\u2028b\u3000=\x0b1\x0c', {'ast': {'aggregation': None, 'select_columns': ['a'], 'where': {'column': 'b', 'comparator': '=', 'value': {'kind': 'literal', 'text': '1'}}}}),
+    ('SELECT " a\u3000" WHERE "\t" = 1', {'error': ['SqlParseError', 'empty column name at byte 25 (expected one of: column name)', 25, ['column name']]}),
+    ('SELECT "İSTANBUL" WHERE b = \'ΣΑΣ\'', {'ast': {'aggregation': None, 'select_columns': ['i̇stanbul'], 'where': {'column': 'b', 'comparator': '=', 'value': {'kind': 'literal', 'text': 'σας'}}}}),
+    ('SELECT "😀" WHERE 😀 = 1', {'error': ['SqlParseError', "unexpected character '😀' at byte 20", 20, []]}),
+    ('SELECT a WHERE b = 1 OR', {'error': ['SqlParseError', "expected a column name, found 'end of input' at byte 23 (expected one of: column name)", 23, ['column name']]}),
+    ('SELECT a WHERE NOT', {'error': ['SqlParseError', "expected a column name, found 'end of input' at byte 18 (expected one of: column name)", 18, ['column name']]}),
+    ('SELECT a WHERE', {'error': ['SqlParseError', "expected a column name, found 'end of input' at byte 14 (expected one of: column name)", 14, ['column name']]}),
+    ('SELECT a WHERE b', {'error': ['SqlParseError', "expected a comparator after 'b' at byte 16 (expected one of: =, !=, <, >, <=, >=)", 16, ['=', '!=', '<', '>', '<=', '>=']]}),
+    ('SELECT a b', {'error': ['SqlParseError', "trailing input 'b' at byte 9 (expected one of: end of input)", 9, ['end of input']]}),
+    ('COUNT', {'error': ['SqlParseError', "expected a column name, found 'end of input' at byte 5 (expected one of: column name)", 5, ['column name']]}),
+    ('avg(x)', {'ast': {'aggregation': 'avg', 'select_columns': ['x'], 'where': None}}),
+    ("SELECT a WHERE " + "(" * 100 + "b = 1" + ")" * 100, {'ast': {'aggregation': None, 'select_columns': ['a'], 'where': {'column': 'b', 'comparator': '=', 'value': {'kind': 'literal', 'text': '1'}}}}),
+    ("SELECT a WHERE " + "(" * 101 + "b = 1" + ")" * 101, {'error': ['SqlParseError', 'query nested deeper than 100 levels at byte 115', 115, []]}),
+    ("SELECT a WHERE " + "NOT " * 101 + "b = 1", {'error': ['SqlParseError', 'query nested deeper than 100 levels at byte 15', 15, []]}),
+    ("SELECT a WHERE " + "c = 1 AND (d = 2 OR " * 50 + "b = 1" + ")" * 50 + " OR e = 3", {'error': ['SqlParseError', 'query nested deeper than 100 levels at byte 1071', 1071, []]}),
+    ('SELECT "a\\nb" WHERE "a\nb" = 1', {'ast': {'aggregation': None, 'select_columns': ['a\\nb'], 'where': {'column': 'a\nb', 'comparator': '=', 'value': {'kind': 'literal', 'text': '1'}}}}),
+    ('SELECT "a\\\nb"', {'error': ['SqlParseError', 'unexpected character \'"\' at byte 7', 7, []]}),
+    ("SELECT a WHERE b = 'x\\\ny'", {'error': ['SqlParseError', 'unexpected character "\'" at byte 19', 19, []]}),
 ]
 
 

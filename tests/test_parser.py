@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,12 +7,16 @@ from hypothesis import strategies as st
 from sql2text.graphs import build_graph, template_interpret
 from sql2text.parser import (
     _MAX_DEPTH,
+    AGGREGATIONS,
+    UNSUPPORTED_KEYWORDS,
     BoolOp,
     Condition,
     SqlParseError,
     SqlQuery,
     UnsupportedSyntaxError,
     ValueToken,
+    _offset,
+    _tokenize,
     conditions_in_order,
     flatten,
     parse,
@@ -139,6 +145,17 @@ class TestParse:
         # 'café' is 5 bytes in utf-8, so the error lands past the ASCII position.
         assert err.value.offset == len('SELECT "café" WHERE'.encode("utf-8"))
 
+    @pytest.mark.parametrize("surrogate", ["\ud800", "\udcff", "\udfff"])
+    def test_lone_surrogate_before_an_error_counts_three_bytes(self, surrogate):
+        # A non-UTF-8 byte of a command-line argument decodes to a lone
+        # surrogate, which strict UTF-8 cannot encode.
+        with pytest.raises(SqlParseError) as err:
+            parse(f'SELECT "{surrogate}" WHERE')
+        assert err.value.offset == len('SELECT "') + 3 + len('" WHERE')
+        with pytest.raises(SqlParseError) as err:
+            parse(f"SELECT a WHERE b = 'é{surrogate}' ;")
+        assert err.value.offset == len("SELECT a WHERE b = 'é") + 1 + 3 + len("' ")
+
 
 class TestPlaceholders:
     def test_val_forms_normalized(self):
@@ -249,6 +266,20 @@ class TestNesting:
         with pytest.raises(SqlParseError):
             parse(make(5000))
 
+    def test_a_long_not_chain_fails_at_the_not_that_crosses_the_bound(self):
+        # NOTs apply innermost first: of 103, the third is level 101.
+        with pytest.raises(SqlParseError) as err:
+            parse(nested_nots(_MAX_DEPTH + 3))
+        assert err.value.offset == len(WHERE) + 2 * len("NOT ")
+
+    def test_flattened_operators_count_once_towards_the_bound(self):
+        # 60 nested ANDs flatten to one level, so 50 NOTs over them make 51.
+        expr = parse(WHERE + "NOT " * 50 + "(b = 1 AND " * 60 + "c = 1" + ")" * 60).where
+        for _ in range(50):
+            assert expr.op == "not"
+            (expr,) = expr.children
+        assert expr.op == "and" and len(expr.children) == 61
+
 
 # --- property tests ----------------------------------------------------------
 
@@ -311,3 +342,115 @@ def test_parse_never_panics_on_bytes(blob):
 def test_parse_is_deterministic(query):
     text = render(query)
     assert parse(text) == parse(text)
+
+
+# Characters of every category, lone surrogates included: st.characters()
+# alone almost never draws one.
+_any_char = st.one_of(st.characters(categories=["Cs"]), st.characters())
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.text(_any_char, max_size=6), st.text(_any_char, max_size=12))
+def test_parse_never_panics_after_quoted_text(quoted, rest):
+    try:
+        parse(f'SELECT "{quoted}" {rest}')
+    except SqlParseError:
+        pass
+
+
+# --- tokenizer against its reference -----------------------------------------
+
+# The tokenizer at c0f5148, before its rewrite for speed: one named group per
+# kind, and a token tuple with its character offset.  The rewrite gives each
+# keyword its own kind where this one gave "keyword".  Its errors count a
+# lone surrogate as 3 bytes, as the rewrite does.
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    \s*(?:
+        (?P<cmp><=|>=|<>|!=|=|<|>|≠|≤|≥)
+      | (?P<comma>,)
+      | (?P<lparen>\()
+      | (?P<rparen>\))
+      | (?P<ident>"(?:[^"\\]|\\.)*")
+      | (?P<string>'(?:[^'\\]|\\.)*')
+      | (?P<number>-?\d+(?:\.\d+)?)
+      | (?P<word>[A-Za-z_][A-Za-z0-9_.]*)
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )
+    """,
+    re.VERBOSE,
+)
+
+_REFERENCE_CMP_CANONICAL = {"<>": "!=", "≠": "!=", "≤": "<=", "≥": ">="}
+
+_REFERENCE_WORD_KINDS = {
+    **dict.fromkeys(("select", "where", "and", "or", "not"), "keyword"),
+    **dict.fromkeys(AGGREGATIONS, "aggregation"),
+    **dict.fromkeys(UNSUPPORTED_KEYWORDS, "unsupported"),
+}
+
+
+def _byte_offset(text, pos):
+    return len(text[:pos].encode("utf-8", "surrogatepass"))
+
+
+def reference_tokenize(text):
+    """(kind, text, character offset) of each token of ``text``."""
+    tokens = []
+    for m in _REFERENCE_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        value, pos = m.group(kind), m.start(kind)
+        if kind == "cmp":
+            value = _REFERENCE_CMP_CANONICAL.get(value, value)
+        elif kind == "ident" or kind == "string":
+            quote = value[0]
+            value = value[1:-1].replace("\\" + quote, quote).replace("\\\\", "\\").lower()
+        elif kind == "word":
+            value = value.lower()
+            kind = _REFERENCE_WORD_KINDS.get(value, "ident")
+            if kind == "unsupported":
+                raise UnsupportedSyntaxError(
+                    f"unsupported syntax: {value.upper()} is outside the dialect",
+                    _byte_offset(text, pos),
+                )
+        elif kind == "bad":
+            raise SqlParseError(f"unexpected character {value!r}", _byte_offset(text, pos))
+        tokens.append((kind, value, pos))
+        if kind == "eof":
+            break
+    return tokens
+
+
+# Text weighted toward the characters and fragments where token kinds meet:
+# quotes and backslashes, comparators, punctuation, parts of numbers, keyword
+# fragments in any case, and unicode whitespace.
+_token_text = st.lists(
+    st.one_of(
+        st.sampled_from(
+            ['"', "'", "\\", "\\\\", '\\"', "\\'", "=", "!", "!=", "<>", "<", ">", "<=", ">=",
+             "≠", "≤", "≥", "(", ")", ",", "-", ".", "_", "0", "7", "42", "٣", "²", "val", "val_1",
+             "select", "SeLeCt", "where", "WHERE", "and", "Or", "not", "count", "AVG", "from",
+             "Order", "a", "Z", " ", "\t", "\n", "\xa0", "　", " ", "\x1c"]
+        ),
+        _any_char,
+    ),
+    max_size=24,
+).map("".join)
+
+
+@settings(deadline=None, max_examples=500)
+@given(_token_text)
+def test_tokenizer_matches_reference(text):
+    try:
+        want = [(value if kind == "keyword" else kind, value, pos)
+                for kind, value, pos in reference_tokenize(text)]
+    except SqlParseError as exc:
+        with pytest.raises(SqlParseError) as err:
+            _tokenize(text)
+        assert type(err.value) is type(exc)
+        assert (str(err.value), err.value.offset) == (str(exc), exc.offset)
+        return
+    kinds, texts = _tokenize(text)
+    got = [(kind, value, _offset(text, n)) for n, (kind, value) in enumerate(zip(kinds, texts))]
+    assert got == [(kind, value, _byte_offset(text, pos)) for kind, value, pos in want]

@@ -505,19 +505,6 @@ def attend(scores: Tensor, mask: np.ndarray, nodes: Tensor) -> tuple[Tensor, Ten
     return context, _result(w, (scores,), to_scores)
 
 
-def log_softmax(a: Tensor) -> Tensor:
-    """Log of the softmax over the last axis."""
-    if a.data.ndim < 1 or a.data.shape[-1] < 1:
-        raise AutodiffError(f"log_softmax expects a non-empty last axis, got {a.data.shape}")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-    def backward(g):
-        _accumulate(a, g - np.exp(out) * g.sum(axis=-1, keepdims=True))
-
-    return _result(out, (a,), backward)
-
-
 def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Summed negative log-likelihood: sum over rows i of
     -log softmax(logits[i])[targets[i]], for (n, v) logits."""

@@ -196,7 +196,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         randomize_parameters(model.store, np.random.default_rng(config.seed + 1))
 
         def loss_fn(store):
-            return model.loss([graph], [pair.target], train=False)[0]
+            return model.loss([graph], [pair.target])[0]
 
         err = finite_difference_check(
             loss_fn,

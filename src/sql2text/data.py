@@ -24,7 +24,7 @@ class Vocabulary:
 
     def __init__(self, tokens: list[str]):
         if tuple(tokens[:4]) != SPECIAL_TOKENS:
-            tokens = list(SPECIAL_TOKENS) + [t for t in tokens if t not in SPECIAL_TOKENS]
+            raise ValueError(f"vocabulary must start with {', '.join(SPECIAL_TOKENS)}")
         self.tokens = list(tokens)
         self._index = {t: i for i, t in enumerate(self.tokens)}
         if len(self._index) != len(self.tokens):

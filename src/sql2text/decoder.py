@@ -7,7 +7,8 @@ Every step works on rows, one per sequence being decoded: teacher
 forcing runs a whole minibatch, greedy decoding one row and beam search
 one row per live hypothesis, all through :func:`decoder_step`.  The
 sequences attend over node embeddings padded to the largest graph, with
-a mask over the padding.
+a mask over the padding, gathered once per call by
+:func:`attention_memory` from the encoder's node rows.
 """
 
 from __future__ import annotations
@@ -64,12 +65,17 @@ def build_decoder_params(
 
 
 def attention_memory(
-    nodes: Tensor, mask: np.ndarray, store: ParameterStore, cfg: TrainConfig
+    node_rows: Tensor, segments: tuple, graph_of_row, store: ParameterStore, cfg: TrainConfig
 ) -> Memory:
-    """Memory over padded node embeddings, with additive attention's node-side
-    projection and the joined LSTM weights computed once for every step."""
+    """Memory for sequences whose row r reads graph ``graph_of_row[r]``:
+    that graph's ``segments`` row (:func:`encoder.padded_index` arrays)
+    of ``node_rows``, padded, in one gather.  Additive attention's
+    node-side projection and the joined LSTM weights are computed once
+    for every step."""
+    index, valid = segments
+    nodes = ad.gather(node_rows, index[graph_of_row])
     proj = linear(store, "attn_h", nodes) if cfg.attention == "additive" else None
-    return Memory(nodes, mask, proj, lstm_weights(store, "dec_lstm"))
+    return Memory(nodes, valid[graph_of_row], proj, lstm_weights(store, "dec_lstm"))
 
 
 def attention_context(
@@ -124,40 +130,37 @@ def next_token_logits(state: DecoderState, store: ParameterStore) -> Tensor:
 
 
 def sequence_loss(
-    nodes: Tensor,
-    mask: np.ndarray,
+    node_rows: Tensor,
+    segments: tuple,
     graph_emb: Tensor,
     targets: list[list[int]],
     store: ParameterStore,
     cfg: TrainConfig,
-    train: bool = True,
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, int]:
-    """Teacher-forced negative log-likelihood of a batch, summed over all
-    target tokens; ``targets[b]`` are example b's token ids, non-empty and
-    ending with EOS.  Returns (loss sum, token count); batch averaging is
-    the caller's concern.
+    """Teacher-forced negative log-likelihood of a batch encoded by
+    :func:`encoder.encode`, summed over all target tokens; ``targets[b]``
+    are example b's token ids, non-empty and ending with EOS.  Returns
+    (loss sum, token count); batch averaging is the caller's concern.
 
     Rows are sorted longest target first, so each step runs on the prefix
-    of rows still running.  Dropout masks are drawn per example in batch
-    order, a (length, hidden) draw each: ``rng`` is consumed exactly as
-    by decoding the examples one by one.
+    of rows still running.  Dropout applies exactly when ``rng`` is given:
+    masks are drawn per example in batch order, a (length, hidden) draw
+    each, so ``rng`` is consumed exactly as by decoding the examples one
+    by one.
     """
     for target in targets:
         if not target:
             raise ValueError("empty target sequence")
         if target[-1] != EOS:
             raise ValueError("target sequence must end with EOS")
-    dropout = train and cfg.dropout > 0.0
-    if dropout and rng is None:
-        raise ValueError("training-mode decoding needs an rng for dropout")
     order = sorted(range(len(targets)), key=lambda b: -len(targets[b]))
     lengths = np.array([len(targets[b]) for b in order])
     inputs = np.full((len(order), lengths[0]), BOS)
     for row, b in enumerate(order):
         inputs[row, 1 : lengths[row]] = targets[b][:-1]
 
-    memory = attention_memory(ad.gather(nodes, order), mask[order], store, cfg)
+    memory = attention_memory(node_rows, segments, order, store, cfg)
     state = init_state(ad.gather(graph_emb, order), memory, store, cfg)
     hs, contexts = [], []
     for step in range(lengths[0]):
@@ -172,23 +175,29 @@ def sequence_loss(
     position = np.argsort(order)
     rows = np.concatenate([starts[: len(t)] + position[b] for b, t in enumerate(targets)])
     readout = ad.gather(_readout(ad.concat(hs, axis=0), ad.concat(contexts, axis=0), store), rows)
-    if dropout:
+    if rng is not None:
         readout = ad.dropout(readout, cfg.dropout, rng)
     flat = np.concatenate(targets)
     return ad.cross_entropy(linear(store, "dec_out", readout), flat), len(flat)
 
 
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log of the softmax over the last axis, outside the autodiff graph."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def greedy_decode(
-    nodes: Tensor,
-    mask: np.ndarray,
+    node_rows: Tensor,
+    segments: tuple,
     graph_emb: Tensor,
     store: ParameterStore,
     cfg: TrainConfig,
 ) -> list[int]:
-    """Argmax decoding of one example (a batch of 1) until EOS or the
-    length cap; returns token ids without BOS/EOS."""
+    """Argmax decoding of one example (an encoded batch of 1) until EOS or
+    the length cap; returns token ids without BOS/EOS."""
     with ad.no_grad():
-        memory = attention_memory(nodes, mask, store, cfg)
+        memory = attention_memory(node_rows, segments, [0], store, cfg)
         state = init_state(graph_emb, memory, store, cfg)
         out: list[int] = []
         for _ in range(cfg.max_decode_len):
@@ -202,15 +211,15 @@ def greedy_decode(
 
 
 def beam_search(
-    nodes: Tensor,
-    mask: np.ndarray,
+    node_rows: Tensor,
+    segments: tuple,
     graph_emb: Tensor,
     store: ParameterStore,
     cfg: TrainConfig,
     beam_size: int | None = None,
 ) -> list[int]:
-    """Beam decoding of one example (a batch of 1); returns token ids
-    without BOS/EOS.
+    """Beam decoding of one example (an encoded batch of 1); returns token
+    ids without BOS/EOS.
 
     Each step runs the live hypotheses as the rows of one decoder state.
     Candidates are each row's top ``width`` tokens (a tie goes to the
@@ -233,8 +242,7 @@ def beam_search(
     alpha = cfg.length_norm_alpha
     cap_norm = cfg.max_decode_len**alpha
     with ad.no_grad():
-        copies = np.zeros(width, dtype=np.intp)
-        memory = attention_memory(ad.gather(nodes, copies), mask[copies], store, cfg)
+        memory = attention_memory(node_rows, segments, np.zeros(width, np.intp), store, cfg)
         state = init_state(graph_emb, memory, store, cfg)
         log_p = np.zeros(1)  # (live,) running log-probs, float64
         history = np.zeros((1, 0), dtype=np.intp)  # (live, t) tokens so far
@@ -242,7 +250,7 @@ def beam_search(
         best_done = -np.inf  # best score in done
         for t in range(cfg.max_decode_len):
             state = decoder_step(state, memory, store, cfg)
-            step = ad.log_softmax(next_token_logits(state, store)).data
+            step = log_softmax(next_token_logits(state, store).data)
             # Stable sort keeps ties at the lowest token id, matching argmax.
             top = np.argsort(-step, axis=1, kind="stable")[:, :width]
             rows = np.repeat(np.arange(len(log_p)), top.shape[1])

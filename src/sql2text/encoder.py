@@ -129,12 +129,12 @@ def graph_embedding_pooling(node_matrix: Tensor, segments: tuple, store: Paramet
 
 def encode(
     graphs: list[QueryGraph], vocab: Vocabulary, store: ParameterStore, cfg: TrainConfig
-) -> tuple[Tensor, np.ndarray, Tensor]:
-    """Encode a batch of graphs as one disjoint union: node embeddings
-    padded to (B, Nmax, 2d), the (B, Nmax) mask of real nodes, and (B, 2d)
-    graph embeddings.  With the supernode readout each graph is augmented
-    first, so the node embeddings cover the super node too (the decoder
-    attends over all of them)."""
+) -> tuple[Tensor, tuple, Tensor]:
+    """Encode a batch of graphs as one disjoint union: the (N, 2d) node
+    embeddings of the union, each graph's rows in them as
+    :func:`padded_index` segments, and the (B, 2d) graph embeddings.  With
+    the supernode readout each graph is augmented first, so the node rows
+    cover the super node too (the decoder attends over all of them)."""
     if not graphs or any(not graph.nodes for graph in graphs):
         raise ValueError("cannot encode an empty batch or an empty graph")
     if cfg.ge_method == "supernode":
@@ -142,10 +142,9 @@ def encode(
     union = disjoint_union(graphs)
     ends = np.cumsum([len(graph.nodes) for graph in graphs])
     segments = padded_index([range(end - len(g.nodes), end) for g, end in zip(graphs, ends)])
-    node_matrix = propagate(union, init_node_features(union, vocab, store, cfg), store, cfg)
+    node_rows = propagate(union, init_node_features(union, vocab, store, cfg), store, cfg)
     if cfg.ge_method == "supernode":
-        graph_emb = ad.gather(node_matrix, ends - 1)  # each super node is appended last
+        graph_emb = ad.gather(node_rows, ends - 1)  # each super node is appended last
     else:
-        graph_emb = graph_embedding_pooling(node_matrix, segments, store)
-    index, mask = segments
-    return ad.gather(node_matrix, index), mask, graph_emb
+        graph_emb = graph_embedding_pooling(node_rows, segments, store)
+    return node_rows, segments, graph_emb

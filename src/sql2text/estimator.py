@@ -4,7 +4,7 @@ fitted state on trailing-underscore attributes."""
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 from .checkpoint import load_checkpoint, restore_model, save_checkpoint
 from .config import TrainConfig
@@ -129,8 +129,9 @@ class SqlToTextGenerator(_ParamsMixin):
     @classmethod
     def from_checkpoint(cls, path) -> "SqlToTextGenerator":
         ckpt = load_checkpoint(path)
-        est = cls(**{k: v for k, v in ckpt.config.items() if k in cls._defaults})
-        est.model_ = restore_model(ckpt)
+        model = restore_model(ckpt)
+        est = cls(**asdict(model.config))
+        est.model_ = model
         est.checkpoint_ = ckpt
         est.metrics_ = []
         return est

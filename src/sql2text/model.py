@@ -38,31 +38,22 @@ class GraphToSequenceModel:
             build_encoder_params(self.store, len(src_vocab), config, rng)
             build_decoder_params(self.store, len(tgt_vocab), config, rng)
 
-    def encode_graphs(self, graphs: list[QueryGraph]) -> tuple[Tensor, np.ndarray, Tensor]:
-        """Padded node embeddings, node mask and graph embeddings of a batch."""
+    def encode_graphs(self, graphs: list[QueryGraph]) -> tuple[Tensor, tuple, Tensor]:
+        """Node rows, per-graph segments and graph embeddings of a batch
+        (:func:`encoder.encode`)."""
         return encode(graphs, self.src_vocab, self.store, self.config)
 
     def loss(
         self,
         graphs: list[QueryGraph],
         targets: list[tuple[str, ...]],
-        train: bool = True,
         rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, int]:
         """Summed teacher-forced NLL of a batch and its token count, from
-        one batched forward pass."""
-        nodes, mask, graph_emb = self.encode_graphs(graphs)
+        one batched forward pass; dropout applies exactly when ``rng`` is
+        given."""
         target_ids = [self.tgt_vocab.ids(tokens) + [EOS] for tokens in targets]
-        return sequence_loss(
-            nodes,
-            mask,
-            graph_emb,
-            target_ids,
-            self.store,
-            self.config,
-            train=train,
-            rng=rng,
-        )
+        return sequence_loss(*self.encode_graphs(graphs), target_ids, self.store, self.config, rng)
 
     def generate(
         self,

@@ -162,7 +162,7 @@ def randomize_parameters(
 def finite_difference_check(
     model_loss: Callable[[ParameterStore], Tensor],
     store: ParameterStore,
-    h: float = 1e-5,
+    h: float = 1e-4,
     samples: int = 64,
     rng: np.random.Generator | None = None,
     fd_dtype=np.float64,
@@ -173,7 +173,9 @@ def finite_difference_check(
     initial evaluations are compared to verify this.  The difference
     quotients are evaluated in ``fd_dtype`` (float64 by default) so the
     returned worst relative error measures the engine's gradients rather
-    than cancellation noise in the probe itself.
+    than cancellation noise in the probe itself.  The default step ``h``
+    of 1e-4 balances the probe's truncation error (order h^2) against its
+    cancellation error (order eps / h).
 
     Relative error per sampled coordinate is `|ad - fd| / max(|ad|, |fd|,
     floor)` with floor equal to 1% of the largest sampled gradient

@@ -71,7 +71,7 @@ def train(
     sqls = dict.fromkeys(pair.sql for pair in [*train_pairs, *dev_pairs])
     graphs = {sql: query_graph(sql, config.undirected) for sql in sqls}
     src_vocab, tgt_vocab = build_vocab(train_pairs, config.min_freq, graphs)
-    seeds = np.random.SeedSequence(config.seed).spawn(3)
+    seeds = np.random.SeedSequence(config.seed).spawn(2)
     model = GraphToSequenceModel(src_vocab, tgt_vocab, config)
     coverage = None
     if config.pretrained_vectors:
@@ -103,7 +103,6 @@ def train(
             total, tokens = model.loss(
                 [graphs[pair.sql] for pair in batch],
                 [pair.target for pair in batch],
-                train=True,
                 rng=dropout_rng,
             )
             batch_loss = total * (1.0 / tokens)

@@ -86,7 +86,7 @@ def _gradcheck_fixture(precision: str):
     assert len(graph.nodes) == 3
 
     def loss_fn(store):
-        return model.loss([graph], [target], train=False)[0]
+        return model.loss([graph], [target])[0]
 
     return model, loss_fn
 
@@ -136,7 +136,7 @@ def test_gradient_oracle_every_branch(ge_method, attention, share, undirected):
     graphs = [query_graph(pair.sql, config.undirected) for pair in pairs]
 
     def loss_fn(store):
-        return model.loss(graphs, [pair.target for pair in pairs], train=False)[0]
+        return model.loss(graphs, [pair.target for pair in pairs])[0]
 
     err = finite_difference_check(loss_fn, model.store, samples=150, rng=np.random.default_rng(2))
     assert err < 1e-6
@@ -270,8 +270,8 @@ def test_criterion_07_decoder_equivalences():
 
     # Attention weights along a decode rollout sum to 1 at every step.
     randomize_parameters(model.store, np.random.default_rng(123))
-    nodes, mask, graph_emb = model.encode_graphs([graph])
-    memory = attention_memory(nodes, mask, model.store, config)
+    node_rows, segments, graph_emb = model.encode_graphs([graph])
+    memory = attention_memory(node_rows, segments, [0], model.store, config)
     state = init_state(graph_emb, memory, model.store, config)
     for _ in range(10):
         _, weights = attention_context(state.h, memory, model.store, config)

@@ -561,7 +561,6 @@ OP_CASES = {
     "softmax": lambda p: ad.gather(ad.reshape(
         ad.attend(ad.gather(p, [1]), np.ones((1, 3), dtype=bool), ad.gather(nodes_of(p), [1]))[1], (3,)
     ), 0),
-    "log_softmax": lambda p: ad.gather(ad.log_softmax(ad.gather(p, 1)), 2),
     # p receives deferred outer products from vector and matrix products.
     "affine_shared_weight": lambda p: (
         ad.tsum(

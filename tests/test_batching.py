@@ -52,14 +52,14 @@ def make_model(dropout=0.0, **overrides):
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_batch_loss_and_gradients_equal_single_example_sums(variant):
     model, graphs, targets = make_model(**VARIANTS[variant])
-    loss, tokens = model.loss(graphs, targets, train=False)
+    loss, tokens = model.loss(graphs, targets)
     loss.backward()
     batched = {name: t.grad for name, t in model.store.items()}
     model.store.zero_grad()
 
     total, count = 0.0, 0
     for graph, target in zip(graphs, targets):
-        single, n = model.loss([graph], [target], train=False)
+        single, n = model.loss([graph], [target])
         single.backward()  # gradients accumulate over the calls
         total += single.item()
         count += n
@@ -74,12 +74,12 @@ def test_batch_loss_and_gradients_equal_single_example_sums(variant):
 
 def test_dropout_masks_follow_batch_order():
     model, graphs, targets = make_model(dropout=0.5)
-    batch, _ = model.loss(graphs, targets, train=True, rng=np.random.default_rng(7))
+    batch, _ = model.loss(graphs, targets, rng=np.random.default_rng(7))
     rng = np.random.default_rng(7)
     singles = sum(
-        model.loss([graph], [target], train=True, rng=rng)[0].item()
+        model.loss([graph], [target], rng=rng)[0].item()
         for graph, target in zip(graphs, targets)
     )
     assert abs(batch.item() - singles) < TOL
-    no_dropout, _ = model.loss(graphs, targets, train=False)
+    no_dropout, _ = model.loss(graphs, targets)
     assert abs(batch.item() - no_dropout.item()) > 1e-3

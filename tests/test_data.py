@@ -118,6 +118,14 @@ class TestVocabulary:
         assert vocab.tokens[:4] == list(SPECIAL_TOKENS)
         assert (PAD, BOS, EOS, UNK) == (0, 1, 2, 3)
 
+    @pytest.mark.parametrize(
+        "tokens",
+        [["a", "b"], ["<bos>", "<pad>", "<eos>", "<unk>", "a"], list(SPECIAL_TOKENS[:3])],
+    )
+    def test_tokens_must_start_with_the_specials(self, tokens):
+        with pytest.raises(ValueError):
+            Vocabulary(tokens)
+
     def test_min_freq_drops_rare_tokens(self):
         vocab = Vocabulary.from_counts(Counter({"a": 2, "b": 1}), min_freq=2)
         assert "a" in vocab

@@ -18,6 +18,7 @@ from sql2text.decoder import (
     decoder_step,
     greedy_decode,
     init_state,
+    log_softmax,
     next_token_logits,
     sequence_loss,
 )
@@ -48,18 +49,18 @@ def random_nodes(n, seed=0) -> Tensor:
 
 
 def one(nodes: Tensor, graph_emb: Tensor):
-    # A batch of one example: padded nodes, node mask, graph embedding.
+    # A batch of one example: node rows, their segment, graph embedding.
     n, d = nodes.data.shape
     return (
-        ad.reshape(nodes, (1, n, d)),
-        np.ones((1, n), dtype=bool),
+        nodes,
+        (np.arange(n)[None, :], np.ones((1, n), dtype=bool)),
         ad.reshape(graph_emb, (1, d)),
     )
 
 
 def memory_of(nodes: Tensor, store, cfg):
-    padded, mask, _ = one(nodes, ad.zeros((nodes.data.shape[1],)))
-    return attention_memory(padded, mask, store, cfg)
+    node_rows, segments, _ = one(nodes, ad.zeros((nodes.data.shape[1],)))
+    return attention_memory(node_rows, segments, [0], store, cfg)
 
 
 def first_distribution(state, memory, store, cfg) -> np.ndarray:
@@ -167,8 +168,8 @@ class TestDecodeStep:
         cfg = small_cfg(dropout=0.5)
         store = make_store(cfg, randomize=7)
         batch = one(random_nodes(3, seed=8), ad.zeros((NODE_DIM,)))
-        l1, _ = sequence_loss(*batch, [[4, 5, EOS]], store, cfg, train=False)
-        l2, _ = sequence_loss(*batch, [[4, 5, EOS]], store, cfg, train=False)
+        l1, _ = sequence_loss(*batch, [[4, 5, EOS]], store, cfg)
+        l2, _ = sequence_loss(*batch, [[4, 5, EOS]], store, cfg)
         assert np.array_equal(l1.data, l2.data)
 
     def test_train_mode_applies_dropout(self):
@@ -176,7 +177,7 @@ class TestDecodeStep:
         store = make_store(cfg, randomize=7)
         batch = one(random_nodes(3, seed=8), ad.zeros((NODE_DIM,)))
         rng = np.random.default_rng(0)
-        draws = {sequence_loss(*batch, [[4, EOS]], store, cfg, train=True, rng=rng)[0].item() for _ in range(4)}
+        draws = {sequence_loss(*batch, [[4, EOS]], store, cfg, rng=rng)[0].item() for _ in range(4)}
         assert len(draws) > 1
 
     def test_two_step_unroll_matches_hand_recurrence(self):
@@ -241,7 +242,7 @@ class TestSequenceLoss:
                 t.data = np.zeros_like(t.data)
             nodes = Tensor(np.zeros((2, NODE_DIM)))
             target = [4, 5, 4, EOS]
-            loss, count = sequence_loss(*one(nodes, Tensor(np.zeros(NODE_DIM))), [target], store, cfg, train=False)
+            loss, count = sequence_loss(*one(nodes, Tensor(np.zeros(NODE_DIM))), [target], store, cfg)
             assert count == 4
             assert loss.item() / count == pytest.approx(math.log(VOCAB), abs=1e-9)
 
@@ -250,7 +251,7 @@ class TestSequenceLoss:
         store = make_store(cfg, randomize=9)
         nodes = random_nodes(2, seed=10)
         ge = Tensor(np.zeros(NODE_DIM))
-        loss, count = sequence_loss(*one(nodes, ge), [[EOS]], store, cfg, train=False)
+        loss, count = sequence_loss(*one(nodes, ge), [[EOS]], store, cfg)
         assert count == 1
         memory = memory_of(nodes, store, cfg)
         state = init_state(ad.reshape(ge, (1, NODE_DIM)), memory, store, cfg)
@@ -274,7 +275,7 @@ class TestSequenceLoss:
         store = make_store(cfg, randomize=10)
         nodes = Tensor(np.random.default_rng(11).normal(size=(3, NODE_DIM)), requires_grad=True)
         graph_emb = ad.segment_max(nodes, np.array([[0, 1, 2]]), np.ones((1, 3), dtype=bool))
-        loss, _ = sequence_loss(*one(nodes, graph_emb), [[4, EOS]], store, cfg, train=False)
+        loss, _ = sequence_loss(*one(nodes, graph_emb), [[4, EOS]], store, cfg)
         loss.backward()
         touched = [name for name, t in store.items() if t.grad is not None]
         assert "tgt_embed" in touched
@@ -341,7 +342,7 @@ class TestDecoding:
             ge = Tensor(np.random.default_rng(seed + 900).normal(size=NODE_DIM))
 
             def hyp_score(tokens):
-                loss, _ = sequence_loss(*one(nodes, ge), [list(tokens) + [EOS]], store, cfg, train=False)
+                loss, _ = sequence_loss(*one(nodes, ge), [list(tokens) + [EOS]], store, cfg)
                 return -loss.item()
 
             prev_score = None
@@ -371,7 +372,7 @@ class Hypothesis:
         return self.log_prob / (len(self.tokens) ** alpha)
 
 
-def reference_beam_search(nodes, mask, graph_emb, store, cfg, beam_size=None):
+def reference_beam_search(node_rows, segments, graph_emb, store, cfg, beam_size=None):
     """List-based beam search, the reference the array search must match
     token for token: one Hypothesis per candidate, a per-row argsort, a
     keyed sort, and an early stop only when alpha is 0."""
@@ -379,13 +380,13 @@ def reference_beam_search(nodes, mask, graph_emb, store, cfg, beam_size=None):
     alpha = cfg.length_norm_alpha
     with ad.no_grad():
         copies = np.zeros(width, dtype=np.intp)
-        memory = attention_memory(ad.gather(nodes, copies), mask[copies], store, cfg)
+        memory = attention_memory(node_rows, segments, copies, store, cfg)
         state = init_state(graph_emb, memory, store, cfg)
         live = [Hypothesis((), 0.0, 0, False)]
         done: list[Hypothesis] = []
         for _ in range(cfg.max_decode_len):
             state = decoder_step(state, memory, store, cfg)
-            log_probs = ad.log_softmax(next_token_logits(state, store)).data
+            log_probs = log_softmax(next_token_logits(state, store).data)
             candidates: list[Hypothesis] = []
             for row, hyp in enumerate(live):
                 top = np.argsort(-log_probs[row], kind="stable")[:width]

@@ -20,7 +20,7 @@ from sql2text.checkpoint import (
 )
 from sql2text.cli import main
 from sql2text.config import TrainConfig
-from sql2text.data import Vocabulary, ingest_dataset
+from sql2text.data import SPECIAL_TOKENS, Vocabulary, ingest_dataset
 from sql2text.model import GraphToSequenceModel
 
 json_values = st.recursive(
@@ -48,7 +48,7 @@ def load_bytes(scratch: Path, blob: bytes):
 
 @pytest.fixture(scope="module")
 def valid_blob(scratch) -> bytes:
-    vocab = Vocabulary(["a", "b"])
+    vocab = Vocabulary([*SPECIAL_TOKENS, "a", "b"])
     config = TrainConfig(word_dim=2, hidden=2, hop_size=1, dropout=0.0)
     model = GraphToSequenceModel(vocab, vocab, config)
     path = scratch / "valid.ckpt"
@@ -96,6 +96,21 @@ class TestCheckpointLoader:
     def test_cli_reports_error_without_traceback(self, scratch, capsys):
         path = scratch / "no-arrays.ckpt"
         path.write_bytes(checkpoint_bytes({"config": {}, "src_vocab": [], "tgt_vocab": []}))
+        code = main(["generate", "--checkpoint", str(path), "SELECT a"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("vocab", ["src_tokens", "tgt_tokens"])
+    def test_swapped_specials_are_checkpoint_error(self, scratch, valid_blob, capsys, vocab):
+        # A vocabulary whose specials are out of place would remap every id.
+        ckpt = load_bytes(scratch, valid_blob)
+        tokens = getattr(ckpt, vocab)
+        tokens[0], tokens[1] = tokens[1], tokens[0]
+        path = scratch / "swapped.ckpt"
+        save_checkpoint(path, ckpt)
+        with pytest.raises(CheckpointError):
+            restore_model(load_checkpoint(path))
         code = main(["generate", "--checkpoint", str(path), "SELECT a"])
         err = capsys.readouterr().err
         assert code == 1

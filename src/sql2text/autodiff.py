@@ -14,7 +14,7 @@ instead of a Python loop over vectors.
 ``affine`` (``x @ w + b``) is the one matrix product: every linear layer
 is one ``affine`` op, an LSTM's four gates included.  Fused ops do the
 elementwise work of a step: ``lstm_cell`` the gate math, and
-``additive_scores`` and ``attend`` the attention (dot scores use ``einsum``).
+``additive_scores`` and ``attend`` the attention.
 Weight and embedding-lookup gradients are not summed as they arrive.
 ``affine`` stores the operand pair of each outer product on its weight
 matrix and ``gather`` stores each looked-up index with its gradient; when
@@ -408,22 +408,6 @@ def segment_max(m: Tensor, index: np.ndarray, valid: np.ndarray) -> Tensor:
         _accumulate(m, gm.reshape(m.data.shape))
 
     return _result(out, (m,), backward)
-
-
-def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
-    """Two-operand Einstein sum such as ``"bn,bnd->bd"``; each index of an
-    operand must appear in the other operand or the output."""
-    operands, out_idx = spec.split("->")
-    a_idx, b_idx = operands.split(",")
-    out = np.einsum(spec, a.data, b.data)
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, np.einsum(f"{out_idx},{b_idx}->{a_idx}", g, b.data))
-        if b.requires_grad:
-            _accumulate(b, np.einsum(f"{a_idx},{out_idx}->{b_idx}", a.data, g))
-
-    return _result(out, (a, b), backward)
 
 
 def tsum(a: Tensor) -> Tensor:

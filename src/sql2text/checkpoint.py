@@ -151,12 +151,17 @@ def restore_model(ckpt: ModelCheckpoint) -> GraphToSequenceModel:
     names = {f.name for f in fields(TrainConfig)}
     try:
         config = TrainConfig(**{k: v for k, v in ckpt.config.items() if k in names})
-        model = GraphToSequenceModel(
-            Vocabulary(list(ckpt.src_tokens)),
-            Vocabulary(list(ckpt.tgt_tokens)),
-            config,
-        )
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint config is invalid: {exc}") from exc
+    vocabs = []
+    for side, tokens in (("src", ckpt.src_tokens), ("tgt", ckpt.tgt_tokens)):
+        try:
+            vocabs.append(Vocabulary(list(tokens)))
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint {side} vocabulary is invalid: {exc}") from exc
+    model = GraphToSequenceModel(*vocabs, config)
+    try:
         model.store.load_arrays(ckpt.arrays)
     except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"checkpoint is inconsistent with its config: {exc}") from exc
+        raise CheckpointError(f"checkpoint arrays do not match its config: {exc}") from exc
     return model

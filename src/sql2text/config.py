@@ -26,7 +26,6 @@ _INT_MINIMUM = {
 }
 _CHOICES = {
     "ge_method": ("pooling", "supernode"),
-    "attention": ("additive", "dot"),
     "precision": ("float32", "float64"),
 }
 
@@ -47,9 +46,7 @@ class TrainConfig:
     seed: int = 0
     min_freq: int = 1
     ge_method: str = "pooling"
-    share_direction_weights: bool = False
     undirected: bool = False
-    attention: str = "additive"
     beam_size: int = 5
     max_decode_len: int = 60
     length_norm_alpha: float = 0.0
@@ -76,9 +73,8 @@ class TrainConfig:
             raise ValueError(
                 f"length_norm_alpha must be finite and >= 0, got {self.length_norm_alpha!r}"
             )
-        for name in ("share_direction_weights", "undirected"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if not isinstance(self.undirected, bool):
+            raise ValueError(f"undirected must be true or false, got {self.undirected!r}")
         for name, allowed in _CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")

@@ -1,7 +1,6 @@
 """Attention decoder: a single-layer gated recurrent cell initialized from
-the graph embedding, additive (or dot-product) attention over node
-embeddings, teacher-forced negative log-likelihood, and greedy plus beam
-decoding.
+the graph embedding, additive attention over node embeddings,
+teacher-forced negative log-likelihood, and greedy plus beam decoding.
 
 Every step works on rows, one per sequence being decoded: teacher
 forcing runs a whole minibatch, greedy decoding one row and beam search
@@ -42,7 +41,7 @@ class Memory:
 
     nodes: Tensor  # (rows, Nmax, 2 * hidden) node embeddings, padded
     mask: np.ndarray  # (rows, Nmax), True at real nodes
-    proj: Tensor | None  # (rows, Nmax, hidden) node-side additive projection
+    proj: Tensor  # (rows, Nmax, hidden) node-side additive projection
     lstm: tuple[Tensor, Tensor]  # dec_lstm's gate weights, joined once
 
 
@@ -54,42 +53,34 @@ def build_decoder_params(
     create_linear(store, "dec_init_h", nd, h, rng)
     create_linear(store, "dec_init_c", nd, h, rng)
     create_lstm(store, "dec_lstm", cfg.word_dim + nd, h, rng)
-    if cfg.attention == "additive":
-        create_linear(store, "attn_s", h, h, rng)
-        create_linear(store, "attn_h", nd, h, rng)
-        store.create("attn_v", (h,), rng)
-    else:
-        create_linear(store, "attn_dot", h, nd, rng)
+    create_linear(store, "attn_s", h, h, rng)
+    create_linear(store, "attn_h", nd, h, rng)
+    store.create("attn_v", (h,), rng)
     create_linear(store, "dec_readout", h + nd, h, rng)
     create_linear(store, "dec_out", h, tgt_vocab_size, rng)
 
 
 def attention_memory(
-    node_rows: Tensor, segments: tuple, graph_of_row, store: ParameterStore, cfg: TrainConfig
+    node_rows: Tensor, segments: tuple, graph_of_row, store: ParameterStore
 ) -> Memory:
     """Memory for sequences whose row r reads graph ``graph_of_row[r]``:
     that graph's ``segments`` row (:func:`encoder.padded_index` arrays)
-    of ``node_rows``, padded, in one gather.  Additive attention's
-    node-side projection and the joined LSTM weights are computed once
-    for every step."""
+    of ``node_rows``, padded, in one gather.  The node-side attention
+    projection and the joined LSTM weights are computed once for every
+    step."""
     index, valid = segments
     nodes = ad.gather(node_rows, index[graph_of_row])
-    proj = linear(store, "attn_h", nodes) if cfg.attention == "additive" else None
+    proj = linear(store, "attn_h", nodes)
     return Memory(nodes, valid[graph_of_row], proj, lstm_weights(store, "dec_lstm"))
 
 
-def attention_context(
-    s: Tensor, memory: Memory, store: ParameterStore, cfg: TrainConfig
-) -> tuple[Tensor, Tensor]:
+def attention_context(s: Tensor, memory: Memory, store: ParameterStore) -> tuple[Tensor, Tensor]:
     """(context, attention weights) for the (n, hidden) decoder states s:
     (n, 2 * hidden) and (n, Nmax), with weight 0 on padding."""
     n = s.data.shape[0]
     nodes = ad.slice_rows(memory.nodes, 0, n)
-    if cfg.attention == "additive":
-        proj = ad.slice_rows(memory.proj, 0, n)
-        scores = ad.additive_scores(linear(store, "attn_s", s), proj, store["attn_v"])
-    else:
-        scores = ad.einsum("bnd,bd->bn", nodes, linear(store, "attn_dot", s))
+    proj = ad.slice_rows(memory.proj, 0, n)
+    scores = ad.additive_scores(linear(store, "attn_s", s), proj, store["attn_v"])
     return ad.attend(scores, memory.mask[:n], nodes)
 
 
@@ -103,20 +94,18 @@ def init_state(
         )
     h0 = ad.tanh(linear(store, "dec_init_h", graph_emb))
     c0 = ad.tanh(linear(store, "dec_init_c", graph_emb))
-    context, _ = attention_context(h0, memory, store, cfg)
+    context, _ = attention_context(h0, memory, store)
     return DecoderState(h0, c0, context, np.full(graph_emb.data.shape[0], BOS))
 
 
-def decoder_step(
-    state: DecoderState, memory: Memory, store: ParameterStore, cfg: TrainConfig
-) -> DecoderState:
+def decoder_step(state: DecoderState, memory: Memory, store: ParameterStore) -> DecoderState:
     """Feed ``state.prev`` to the first len(prev) rows, which go on; the
     others are dropped.  The returned state keeps ``prev`` for the caller
     to replace."""
     n = len(state.prev)
     x = [ad.gather(store["tgt_embed"], state.prev), ad.slice_rows(state.context, 0, n)]
     h, c = lstm_step(memory.lstm, x + [ad.slice_rows(state.h, 0, n)], ad.slice_rows(state.c, 0, n))
-    context, _ = attention_context(h, memory, store, cfg)
+    context, _ = attention_context(h, memory, store)
     return DecoderState(h, c, context, state.prev)
 
 
@@ -160,12 +149,12 @@ def sequence_loss(
     for row, b in enumerate(order):
         inputs[row, 1 : lengths[row]] = targets[b][:-1]
 
-    memory = attention_memory(node_rows, segments, order, store, cfg)
+    memory = attention_memory(node_rows, segments, order, store)
     state = init_state(ad.gather(graph_emb, order), memory, store, cfg)
     hs, contexts = [], []
     for step in range(lengths[0]):
         state.prev = inputs[: np.count_nonzero(lengths > step), step]
-        state = decoder_step(state, memory, store, cfg)
+        state = decoder_step(state, memory, store)
         hs.append(state.h)
         contexts.append(state.context)
 
@@ -197,11 +186,11 @@ def greedy_decode(
     """Argmax decoding of one example (an encoded batch of 1) until EOS or
     the length cap; returns token ids without BOS/EOS."""
     with ad.no_grad():
-        memory = attention_memory(node_rows, segments, [0], store, cfg)
+        memory = attention_memory(node_rows, segments, [0], store)
         state = init_state(graph_emb, memory, store, cfg)
         out: list[int] = []
         for _ in range(cfg.max_decode_len):
-            state = decoder_step(state, memory, store, cfg)
+            state = decoder_step(state, memory, store)
             token = int(np.argmax(next_token_logits(state, store).data[0]))
             if token == EOS:
                 break
@@ -225,10 +214,10 @@ def beam_search(
     Candidates are each row's top ``width`` tokens (a tie goes to the
     lower id), taken row by row; the ``width`` best-scoring non-EOS ones
     stay live, by a stable sort.  A hypothesis of n tokens with log-prob
-    log p scores log p / n^alpha (an empty one log p).  EOS-terminated
-    hypotheses are collected as they appear; the first best-scoring one
-    wins, with hypotheses still live at the length cap competing only
-    when none of them scores higher.
+    log p scores log p / n^alpha (an empty one log p).  The search keeps
+    the best EOS-terminated hypothesis found so far, the first one found
+    winning ties; a hypothesis still live at the end replaces it only by
+    scoring higher.
 
     The search stops once the best finished score reaches
     max(live log p) / max_decode_len^alpha.  This is exact for every
@@ -242,14 +231,13 @@ def beam_search(
     alpha = cfg.length_norm_alpha
     cap_norm = cfg.max_decode_len**alpha
     with ad.no_grad():
-        memory = attention_memory(node_rows, segments, np.zeros(width, np.intp), store, cfg)
+        memory = attention_memory(node_rows, segments, np.zeros(width, np.intp), store)
         state = init_state(graph_emb, memory, store, cfg)
         log_p = np.zeros(1)  # (live,) running log-probs, float64
         history = np.zeros((1, 0), dtype=np.intp)  # (live, t) tokens so far
-        done: list[tuple[float, np.ndarray]] = []  # (score, tokens), in the order found
-        best_done = -np.inf  # best score in done
+        best_score, best = -np.inf, None  # best finished hypothesis so far
         for t in range(cfg.max_decode_len):
-            state = decoder_step(state, memory, store, cfg)
+            state = decoder_step(state, memory, store)
             step = log_softmax(next_token_logits(state, store).data)
             # Stable sort keeps ties at the lowest token id, matching argmax.
             top = np.argsort(-step, axis=1, kind="stable")[:, :width]
@@ -257,14 +245,16 @@ def beam_search(
             tokens = top.reshape(-1)
             cand = log_p[rows] + step[rows, tokens]
             ended = np.flatnonzero(tokens == EOS)
-            scores = cand[ended] / max(t, 1) ** alpha
-            done.extend(zip(scores, history[rows[ended]]))
-            best_done = max(best_done, scores.max(initial=-np.inf))
+            if ended.size:
+                scores = cand[ended] / max(t, 1) ** alpha
+                i = int(np.argmax(scores))  # the first of equal scores
+                if scores[i] > best_score:
+                    best_score, best = scores[i], history[rows[ended[i]]]
             going = np.flatnonzero(tokens != EOS)
             keep = going[np.argsort(-(cand[going] / (t + 1) ** alpha), kind="stable")[:width]]
             log_p = cand[keep]
             history = np.concatenate([history[rows[keep]], tokens[keep, None]], axis=1)
-            if not keep.size or (done and best_done >= log_p.max() / cap_norm):
+            if not keep.size or best_score >= log_p.max() / cap_norm:
                 break
             parents = rows[keep]
             state = DecoderState(
@@ -273,5 +263,7 @@ def beam_search(
                 ad.gather(state.context, parents),
                 tokens[keep],
             )
-        pool = done + list(zip(log_p / history.shape[1] ** alpha, history))
-    return max(pool, key=lambda c: c[0])[1].tolist()
+        live = log_p / history.shape[1] ** alpha
+        if best is None or (live.size and live.max() > best_score):
+            best = history[np.argmax(live)]
+    return best.tolist()

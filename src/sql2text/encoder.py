@@ -41,13 +41,9 @@ def build_encoder_params(
     store.create("src_embed", (src_vocab_size, cfg.word_dim), rng)
     create_lstm(store, "node_lstm", cfg.word_dim, d, rng)
     for k in range(1, cfg.hop_size + 1):
-        for direction in ("fwd", "bwd"):
-            create_linear(store, f"hop{k}.{direction}.agg", d, d, rng)
-        if cfg.share_direction_weights:
-            create_linear(store, f"hop{k}.out", 2 * d, d, rng)
-        else:
+        for layer, fan_in in (("agg", d), ("out", 2 * d)):
             for direction in ("fwd", "bwd"):
-                create_linear(store, f"hop{k}.{direction}.out", 2 * d, d, rng)
+                create_linear(store, f"hop{k}.{direction}.{layer}", fan_in, d, rng)
     if cfg.ge_method == "pooling":
         create_linear(store, "ge_pool", 2 * d, 2 * d, rng)
 
@@ -98,12 +94,6 @@ def aggregate_direction(
     return ad.segment_max(transformed, *neighbors)
 
 
-def _out_prefix(cfg: TrainConfig, hop: int, direction: str) -> str:
-    if cfg.share_direction_weights:
-        return f"hop{hop}.out"
-    return f"hop{hop}.{direction}.out"
-
-
 def propagate(
     graph: QueryGraph, feats: Tensor, store: ParameterStore, cfg: TrainConfig
 ) -> Tensor:
@@ -116,7 +106,7 @@ def propagate(
         h = feats
         for k in range(1, cfg.hop_size + 1):
             nbh = aggregate_direction(h, neighbors, store, k, direction)
-            h = ad.relu(linear(store, _out_prefix(cfg, k, direction), ad.concat([h, nbh])))
+            h = ad.relu(linear(store, f"hop{k}.{direction}.out", ad.concat([h, nbh])))
         halves.append(h)
     return ad.concat(halves)
 

@@ -602,9 +602,6 @@ OP_CASES = {
     ),
     "concat_rows": lambda p: ad.tsum(ad.tanh(ad.concat([p, ad.gather(p, [1])], axis=0))),
     "reshape_broadcast_add": lambda p: ad.tsum(ad.tanh(ad.reshape(p, (3, 1, 3)) + p)),
-    "einsum": lambda p: ad.tsum(
-        ad.tanh(ad.einsum("bn,bnd->bd", p, ad.gather(p, np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0]]))))
-    ),
     "cross_entropy": lambda p: ad.cross_entropy(ad.tanh(p), [2, 0, 2]),
 }
 

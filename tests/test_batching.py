@@ -23,8 +23,6 @@ SQLS = [
 VARIANTS = {
     "pooling_additive": {},
     "supernode": {"ge_method": "supernode"},
-    "dot_attention": {"attention": "dot"},
-    "shared_direction_weights": {"share_direction_weights": True},
     "undirected": {"undirected": True},
 }
 

@@ -258,6 +258,23 @@ class TestFlagRanges:
         assert exc.value.code == 2
         assert "--samples" in capsys.readouterr().err
 
+    # Flags of model options that no longer exist.
+    @pytest.mark.parametrize(
+        "flags",
+        [["--attention", "dot"], ["--share-direction-weights"], ["--no-share-direction-weights"]],
+    )
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_removed_model_flag_exits_2(self, capsys, monkeypatch, tmp_path, command, flags):
+        monkeypatch.setattr(cli, "finite_difference_check", _forbidden)
+        monkeypatch.setattr(cli, "ingest_dataset", _forbidden)
+        argv = [command, *flags]
+        if command == "train":
+            argv += ["--train", str(tmp_path / "d.jsonl"), "--out", str(tmp_path / "m.ckpt")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
 
 class TestConfigPlumbing:
     def test_config_file_applies_and_flags_win(self, capsys, tmp_path):
@@ -278,16 +295,19 @@ class TestConfigPlumbing:
         assert stored["word_dim"] == 8  # file applies
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"nonsense_key": 1}))
+        # attention and share_direction_weights name removed model options.
         data = tmp_path / "d.jsonl"
         data.write_text(json.dumps({"sql": "SELECT a", "text": "which a"}) + "\n")
-        code, _, err = run(
-            capsys, "train", "--config", str(cfg_path), "--train", str(data),
-            "--out", str(tmp_path / "m.ckpt"),
-        )
-        assert code == 2
-        assert "nonsense_key" in err
+        for key, value in (("nonsense_key", 1), ("attention", "dot"), ("share_direction_weights", True)):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({key: value}))
+            code, _, err = run(
+                capsys, "train", "--config", str(cfg_path), "--train", str(data),
+                "--out", str(tmp_path / "m.ckpt"),
+            )
+            assert code == 2, key
+            assert key in err
+            assert not (tmp_path / "m.ckpt").exists()
 
     def test_negative_length_norm_alpha_is_usage_error(self, capsys, tmp_path):
         data = tmp_path / "d.jsonl"

@@ -4,7 +4,7 @@ immutability, the estimator's parameters and older checkpoint configs."""
 import hashlib
 import json
 import math
-from dataclasses import FrozenInstanceError, asdict, replace
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +32,12 @@ SMALL = dict(word_dim=4, hidden=4, hop_size=1, epochs=1, batch_size=2)
 # The fields GraphToSequenceModel's own config held, and so the only keys
 # of a config stored by ModelCheckpoint.from_model before it held them all.
 MODEL_KEYS = (
-    "word_dim", "hidden", "hop_size", "ge_method", "share_direction_weights", "undirected",
-    "attention", "dropout", "beam_size", "max_decode_len", "length_norm_alpha", "precision",
+    "word_dim", "hidden", "hop_size", "ge_method", "undirected",
+    "dropout", "beam_size", "max_decode_len", "length_norm_alpha", "precision",
 )
+# Options that are no longer config fields, with the values every stored
+# config that can still restore holds for them.
+REMOVED_KEYS = {"attention": "additive", "share_direction_weights": False}
 
 INVALID = [
     ("precision", "bogus"),
@@ -45,7 +48,6 @@ INVALID = [
     ("dropout", 1.5),
     ("dropout", -0.5),
     ("ge_method", "x"),
-    ("attention", "x"),
     ("beam_size", 0),
     ("patience", -1),
     ("min_freq", 0),
@@ -127,12 +129,8 @@ def test_initial_weights_come_from_the_config_seed(model):
 def test_model_keys_only_checkpoint_restores(model, tmp_path):
     ckpt = ModelCheckpoint.from_model(model)
     path = tmp_path / "model-keys.ckpt"
-    save_checkpoint(
-        path,
-        ModelCheckpoint(
-            {k: ckpt.config[k] for k in MODEL_KEYS}, ckpt.src_tokens, ckpt.tgt_tokens, ckpt.arrays
-        ),
-    )
+    stored = {**{k: ckpt.config[k] for k in MODEL_KEYS}, **REMOVED_KEYS}
+    save_checkpoint(path, ModelCheckpoint(stored, ckpt.src_tokens, ckpt.tgt_tokens, ckpt.arrays))
     restored = restore_model(load_checkpoint(path))
     want = {**asdict(TrainConfig()), **{k: ckpt.config[k] for k in MODEL_KEYS}}
     assert asdict(restored.config) == want
@@ -146,6 +144,9 @@ def test_benchmark_fixture_checkpoint_restores():
     assert hashlib.sha256(path.read_bytes()).hexdigest() == expected["sha256"]
     ckpt = load_checkpoint(path)
     model = restore_model(ckpt)
-    assert asdict(model.config) == ckpt.config
+    names = [f.name for f in fields(TrainConfig)]
+    assert asdict(model.config) == {name: ckpt.config[name] for name in names}
+    assert set(ckpt.config) == set(names) | set(REMOVED_KEYS)
+    assert {key: ckpt.config[key] for key in REMOVED_KEYS} == REMOVED_KEYS
     for probe in expected["probe"]:
         assert model.generate(probe["sql"], beam_size=5) == probe["beam5"]

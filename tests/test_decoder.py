@@ -58,13 +58,13 @@ def one(nodes: Tensor, graph_emb: Tensor):
     )
 
 
-def memory_of(nodes: Tensor, store, cfg):
+def memory_of(nodes: Tensor, store):
     node_rows, segments, _ = one(nodes, ad.zeros((nodes.data.shape[1],)))
-    return attention_memory(node_rows, segments, [0], store, cfg)
+    return attention_memory(node_rows, segments, [0], store)
 
 
-def first_distribution(state, memory, store, cfg) -> np.ndarray:
-    state = decoder_step(state, memory, store, cfg)
+def first_distribution(state, memory, store) -> np.ndarray:
+    state = decoder_step(state, memory, store)
     logits = next_token_logits(state, store).data[0]
     e = np.exp(logits - logits.max())
     return e / e.sum(), state
@@ -76,7 +76,7 @@ class TestInitState:
         store = make_store(cfg)
         for name in ("dec_init_h.w", "dec_init_h.b", "dec_init_c.w", "dec_init_c.b"):
             store[name].data = np.zeros_like(store[name].data)
-        state = init_state(ad.zeros((1, NODE_DIM)), memory_of(random_nodes(2), store, cfg), store, cfg)
+        state = init_state(ad.zeros((1, NODE_DIM)), memory_of(random_nodes(2), store), store, cfg)
         assert np.array_equal(state.h.data[0], np.zeros(3, dtype=np.float32))
         assert np.array_equal(state.c.data[0], np.zeros(3, dtype=np.float32))
         assert state.prev.tolist() == [BOS]
@@ -84,7 +84,7 @@ class TestInitState:
     def test_distinct_embeddings_give_distinct_states(self):
         cfg = small_cfg()
         store = make_store(cfg, randomize=1)
-        memory = memory_of(random_nodes(2), store, cfg)
+        memory = memory_of(random_nodes(2), store)
         s1 = init_state(Tensor([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]), memory, store, cfg)
         s2 = init_state(Tensor([[0.0, 1.0, 0.0, 0.0, 0.0, 0.0]]), memory, store, cfg)
         assert not np.allclose(s1.h.data, s2.h.data)
@@ -92,7 +92,7 @@ class TestInitState:
     def test_deterministic(self):
         cfg = small_cfg()
         store = make_store(cfg, randomize=2)
-        memory = memory_of(random_nodes(3), store, cfg)
+        memory = memory_of(random_nodes(3), store)
         ge = Tensor([[0.1, -0.2, 0.3, 0.4, -0.5, 0.6]])
         a = init_state(ge, memory, store, cfg)
         b = init_state(ge, memory, store, cfg)
@@ -103,7 +103,7 @@ class TestInitState:
         cfg = small_cfg()
         store = make_store(cfg)
         with pytest.raises(ValueError):
-            init_state(Tensor([[1.0, 2.0]]), memory_of(random_nodes(2), store, cfg), store, cfg)
+            init_state(Tensor([[1.0, 2.0]]), memory_of(random_nodes(2), store), store, cfg)
 
 
 class TestAttention:
@@ -111,8 +111,8 @@ class TestAttention:
         cfg = small_cfg()
         store = make_store(cfg, randomize=3)
         nodes = random_nodes(1, seed=5)
-        memory = memory_of(nodes, store, cfg)
-        context, weights = attention_context(Tensor([[0.3, -0.1, 0.6]]), memory, store, cfg)
+        memory = memory_of(nodes, store)
+        context, weights = attention_context(Tensor([[0.3, -0.1, 0.6]]), memory, store)
         assert np.array_equal(weights.data[0], np.array([1.0], dtype=np.float32))
         assert np.allclose(context.data[0], nodes.data[0])
 
@@ -120,35 +120,17 @@ class TestAttention:
         cfg = small_cfg()
         store = make_store(cfg, randomize=4)
         row = np.array([0.5, 1.0, -0.5, 0.25, 0.0, 0.0], dtype=np.float32)
-        memory = memory_of(Tensor(np.stack([row] * 4)), store, cfg)
-        _, weights = attention_context(Tensor([[0.3, -0.1, 0.6]]), memory, store, cfg)
+        memory = memory_of(Tensor(np.stack([row] * 4)), store)
+        _, weights = attention_context(Tensor([[0.3, -0.1, 0.6]]), memory, store)
         assert np.allclose(weights.data, 0.25, atol=1e-6)
 
-    def test_hand_set_scores_closed_form(self):
-        with default_dtype(np.float64):
-            cfg = small_cfg(attention="dot")
-            store = make_store(cfg)
-            # Project the state onto the first coordinate so the scores are
-            # exactly the first column of the node matrix: [ln 2, 0, 0].
-            store["attn_dot.w"].data = np.zeros((3, NODE_DIM))
-            store["attn_dot.b"].data = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-            nodes = Tensor(np.array([
-                [math.log(2.0), 0.0, 0.0, 0.0, 0.0, 0.0],
-                [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
-                [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
-            ]))
-            memory = memory_of(nodes, store, cfg)
-            _, weights = attention_context(Tensor([[9.0, 9.0, 9.0]]), memory, store, cfg)
-            assert np.allclose(weights.data[0], [0.5, 0.25, 0.25], atol=1e-12)
-
-    @pytest.mark.parametrize("attention", ["additive", "dot"])
-    def test_weights_nonnegative_and_sum_to_one(self, attention):
-        cfg = small_cfg(attention=attention)
+    def test_weights_nonnegative_and_sum_to_one(self):
+        cfg = small_cfg()
         store = make_store(cfg, randomize=5)
-        memory = memory_of(random_nodes(6, seed=6), store, cfg)
+        memory = memory_of(random_nodes(6, seed=6), store)
         for seed in range(10):
             s = Tensor(np.random.default_rng(seed).normal(size=(1, 3)))
-            _, weights = attention_context(s, memory, store, cfg)
+            _, weights = attention_context(s, memory, store)
             assert (weights.data >= 0).all()
             assert abs(float(weights.data.sum()) - 1.0) < 1e-6
 
@@ -157,9 +139,9 @@ class TestDecodeStep:
     def test_distribution_sums_to_one(self):
         cfg = small_cfg()
         store = make_store(cfg, randomize=6)
-        memory = memory_of(random_nodes(3, seed=7), store, cfg)
+        memory = memory_of(random_nodes(3, seed=7), store)
         state = init_state(ad.zeros((1, NODE_DIM)), memory, store, cfg)
-        dist, _ = first_distribution(state, memory, store, cfg)
+        dist, _ = first_distribution(state, memory, store)
         assert dist.shape == (VOCAB,)
         assert abs(float(dist.sum()) - 1.0) < 1e-6
         assert (dist > 0).all()
@@ -185,12 +167,12 @@ class TestDecodeStep:
             cfg = small_cfg(hidden=2, word_dim=2)
             store = make_store(cfg, randomize=8)
             nodes = Tensor(np.random.default_rng(9).normal(size=(2, 4)))  # 2 * hidden columns
-            memory = memory_of(nodes, store, cfg)
+            memory = memory_of(nodes, store)
             state = init_state(Tensor([[0.2, -0.4, 0.1, 0.3]]), memory, store, cfg)
             tokens = [4, 7]
             dists = []
             for token in tokens:
-                dist, state = first_distribution(state, memory, store, cfg)
+                dist, state = first_distribution(state, memory, store)
                 dists.append(dist.copy())
                 state.prev = np.array([token])
             expected = _oracle_decode(store, nodes.data, np.array([0.2, -0.4, 0.1, 0.3]), tokens)
@@ -253,9 +235,9 @@ class TestSequenceLoss:
         ge = Tensor(np.zeros(NODE_DIM))
         loss, count = sequence_loss(*one(nodes, ge), [[EOS]], store, cfg)
         assert count == 1
-        memory = memory_of(nodes, store, cfg)
+        memory = memory_of(nodes, store)
         state = init_state(ad.reshape(ge, (1, NODE_DIM)), memory, store, cfg)
-        dist, _ = first_distribution(state, memory, store, cfg)
+        dist, _ = first_distribution(state, memory, store)
         assert loss.item() == pytest.approx(-math.log(float(dist[EOS])), abs=1e-5)
 
     def test_empty_target_rejected(self):
@@ -380,12 +362,12 @@ def reference_beam_search(node_rows, segments, graph_emb, store, cfg, beam_size=
     alpha = cfg.length_norm_alpha
     with ad.no_grad():
         copies = np.zeros(width, dtype=np.intp)
-        memory = attention_memory(node_rows, segments, copies, store, cfg)
+        memory = attention_memory(node_rows, segments, copies, store)
         state = init_state(graph_emb, memory, store, cfg)
         live = [Hypothesis((), 0.0, 0, False)]
         done: list[Hypothesis] = []
         for _ in range(cfg.max_decode_len):
-            state = decoder_step(state, memory, store, cfg)
+            state = decoder_step(state, memory, store)
             log_probs = log_softmax(next_token_logits(state, store).data)
             candidates: list[Hypothesis] = []
             for row, hyp in enumerate(live):

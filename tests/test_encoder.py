@@ -59,8 +59,7 @@ def oracle_propagate(feats, edges, store, cfg):
         return transformed.max(axis=0)
 
     def out_params(k, direction):
-        prefix = f"hop{k}.out" if cfg.share_direction_weights else f"hop{k}.{direction}.out"
-        return store[f"{prefix}.w"].data, store[f"{prefix}.b"].data
+        return store[f"hop{k}.{direction}.out.w"].data, store[f"hop{k}.{direction}.out.b"].data
 
     for k in range(1, cfg.hop_size + 1):
         new_f, new_b = [], []
@@ -132,22 +131,6 @@ class TestPropagate:
             randomize_parameters(store, np.random.default_rng(9))
             edges = [(0, 1), (1, 2), (0, 2)]
             rng = np.random.default_rng(3)
-            raw = rng.normal(size=(3, 3))
-            final = propagate(make_graph(3, edges), Tensor(raw), store, cfg)
-            expected = oracle_propagate(raw, edges, store, cfg)
-            for v in range(3):
-                assert np.allclose(final.data[v], expected[v], atol=1e-6)
-
-    def test_shared_direction_weights_mode(self):
-        with default_dtype(np.float64):
-            cfg = TrainConfig(
-                hop_size=2, hidden=3, word_dim=3, share_direction_weights=True
-            )
-            store = hop_store(cfg, seed=5)
-            randomize_parameters(store, np.random.default_rng(9))
-            assert "hop1.out.w" in store and "hop1.fwd.out.w" not in store
-            edges = [(0, 1), (1, 2)]
-            rng = np.random.default_rng(4)
             raw = rng.normal(size=(3, 3))
             final = propagate(make_graph(3, edges), Tensor(raw), store, cfg)
             expected = oracle_propagate(raw, edges, store, cfg)

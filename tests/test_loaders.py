@@ -109,12 +109,51 @@ class TestCheckpointLoader:
         tokens[0], tokens[1] = tokens[1], tokens[0]
         path = scratch / "swapped.ckpt"
         save_checkpoint(path, ckpt)
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match=f"{vocab[:3]} vocabulary"):
             restore_model(load_checkpoint(path))
         code = main(["generate", "--checkpoint", str(path), "SELECT a"])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
+        assert f"{vocab[:3]} vocabulary" in err
+
+    # Arrays of the model options that no longer exist: dot-product
+    # attention (attn_dot in place of attn_s, attn_h and attn_v) and one
+    # output projection per hop shared by both directions.
+    @pytest.mark.parametrize(
+        "option, removed, added",
+        [
+            (
+                {"attention": "dot"},
+                ("attn_s.w", "attn_s.b", "attn_h.w", "attn_h.b", "attn_v"),
+                {"attn_dot.w": (2, 4), "attn_dot.b": (4,)},
+            ),
+            (
+                {"share_direction_weights": True},
+                ("hop1.fwd.out.w", "hop1.fwd.out.b", "hop1.bwd.out.w", "hop1.bwd.out.b"),
+                {"hop1.out.w": (4, 2), "hop1.out.b": (2,)},
+            ),
+        ],
+        ids=["dot_attention", "shared_direction_weights"],
+    )
+    def test_removed_option_checkpoint_is_checkpoint_error(
+        self, scratch, valid_blob, capsys, option, removed, added
+    ):
+        ckpt = load_bytes(scratch, valid_blob)
+        ckpt.config.update(option)
+        for name in removed:
+            del ckpt.arrays[name]
+        ckpt.arrays.update({name: np.zeros(shape, np.float32) for name, shape in added.items()})
+        path = scratch / "removed-option.ckpt"
+        save_checkpoint(path, ckpt)
+        unexpected = next(iter(added))
+        with pytest.raises(CheckpointError, match=unexpected):
+            restore_model(load_checkpoint(path))
+        code = main(["generate", "--checkpoint", str(path), "SELECT a"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert unexpected in err
 
     @settings(max_examples=200, deadline=None)
     @given(header=json_values, payload=st.binary(max_size=64))

@@ -11,13 +11,16 @@ the sequences of a minibatch, and the row-level ops (``gather``,
 ``slice_rows``, ``segment_max``) let one op serve the whole minibatch
 instead of a Python loop over vectors.
 
-``affine`` (``x @ w + b``) is the one matrix product: every linear layer
-is one ``affine`` op, an LSTM's four gates included.  Fused ops do the
-elementwise work of a step: ``lstm_cell`` the gate math, and
-``additive_scores`` and ``attend`` the attention.
+Every linear layer is one ``affine`` op (``x @ w + b``), an LSTM's four
+gates included, and ``lstm_cell`` does a cell's gate math.  The attention
+decoder is one op over a whole teacher-forced batch, ``attention_lstm``:
+its forward runs ``attention_lstm_step``, a numpy function that greedy
+and beam decoding call directly on arrays, and its backward is
+hand-written backpropagation through time.
 Weight and embedding-lookup gradients are not summed as they arrive.
-``affine`` stores the operand pair of each outer product on its weight
-matrix and ``gather`` stores each looked-up index with its gradient; when
+``affine`` and ``attention_lstm`` store the operand pair of each outer
+product on its weight matrix, and ``gather`` and ``attention_lstm`` each
+looked-up index with its gradient; when
 the reverse sweep reaches the matrix, all stored pairs become its
 gradient in one GEMM and all stored rows in one ``np.add.at`` on the
 flattened gradient, numpy's fast 1-D scatter.  So each weight gradient is
@@ -176,15 +179,6 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _accumulate_at(t: Tensor, index, g: np.ndarray) -> None:
-    """Add g to t's gradient at index (a basic numpy index)."""
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad[index] += g
-
-
 def _defer_outer(t: Tensor, u: np.ndarray, v: np.ndarray) -> None:
     """Record the gradient term u.T @ v of matrix t; u and v are reshaped
     to rows, so a vector counts as one row and a (b, n, m) operand as b*n."""
@@ -193,6 +187,16 @@ def _defer_outer(t: Tensor, u: np.ndarray, v: np.ndarray) -> None:
         t._pairs = ([], [])
     t._pairs[0].append(u.reshape(-1, m))
     t._pairs[1].append(v.reshape(-1, n))
+
+
+def _defer_rows(t: Tensor, index: np.ndarray, g: np.ndarray) -> None:
+    """Record the gradient term grad[index] += g of t, g holding one row of t per index entry."""
+    if not t.requires_grad:
+        return
+    if t._rows is None:
+        t._rows = ([], [])
+    t._rows[0].append(index.reshape(-1))
+    t._rows[1].append(g.reshape((-1,) + t.data.shape[1:]))
 
 
 def _flush(t: Tensor) -> None:
@@ -334,9 +338,11 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     out = np.concatenate([p.data for p in parts], axis=axis)
 
     def backward(g):
-        bounds = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
-        for p, gp in zip(parts, np.split(g, bounds, axis=axis)):
-            _accumulate(p, gp)
+        index, start = [slice(None)] * g.ndim, 0
+        for p in parts:
+            index[axis] = slice(start, start + p.data.shape[axis])
+            _accumulate(p, g[tuple(index)])
+            start = index[axis].stop
 
     return _result(out, tuple(parts), backward)
 
@@ -347,13 +353,9 @@ def gather(m: Tensor, index) -> Tensor:
     which are deferred as (index, g) pairs to one flat scatter-add."""
     index = np.asarray(index, dtype=np.intp)
     out = np.asarray(m.data[index])
-    flat = index.reshape(-1)
 
     def backward(g):
-        if m._rows is None:
-            m._rows = ([], [])
-        m._rows[0].append(flat)
-        m._rows[1].append(g.reshape((-1,) + m.data.shape[1:]))
+        _defer_rows(m, index, g)
 
     return _result(out, (m,), backward)
 
@@ -364,7 +366,9 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
         return a
 
     def backward(g):
-        _accumulate_at(a, slice(start, stop), g)
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[start:stop] += g
 
     return _result(a.data[start:stop], (a,), backward)
 
@@ -418,75 +422,171 @@ def tsum(a: Tensor) -> Tensor:
     return _result(np.asarray(a.data.sum(), dtype=a.data.dtype), (a,), backward)
 
 
+def _cell(gates: np.ndarray, c: np.ndarray) -> tuple:
+    """(h', c', saved) of an LSTM cell on arrays, from (n, 4h) gate
+    pre-activations in i, f, o, cand order and the (n, h) cell state c."""
+    hd = c.shape[-1]
+    # (1 + tanh(x/2)) / 2 keeps the input dtype and has no exp to overflow
+    # or underflow, and no branch; its error is within an ulp of 1.
+    sig = np.tanh(0.5 * gates[..., : 3 * hd])
+    sig += 1.0
+    sig *= 0.5
+    cand = np.tanh(gates[..., 3 * hd :])
+    c2 = sig[..., hd : 2 * hd] * c + sig[..., :hd] * cand
+    tc = np.tanh(c2)
+    return sig[..., 2 * hd :] * tc, c2, (sig, cand, tc, c)
+
+
+def _cell_backward(dh: np.ndarray, dc: np.ndarray, saved: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(d gates, d c) of :func:`_cell` from the partials of h' and c' (the
+    latter without the share of h' through c')."""
+    sig, cand, tc, c = saved
+    hd = c.shape[-1]
+    i, f, o = sig[..., :hd], sig[..., hd : 2 * hd], sig[..., 2 * hd :]
+    dc = dh * o * (1.0 - tc * tc) + dc
+    parts = [dc * cand * i * (1.0 - i), dc * c * f * (1.0 - f), dh * tc * o * (1.0 - o), dc * i * (1.0 - cand * cand)]
+    return np.concatenate(parts, axis=-1), dc * f
+
+
 def lstm_cell(gates: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
     """(h', c') = (o*tanh(c'), f*c + i*tanh(cand)) from (n, 4h) gate
     pre-activations in i, f, o, cand order, i, f and o through a sigmoid,
     and the (n, h) cell state c.  h' has c' as a parent, so the backward
-    of c' runs once for the partials of both outputs."""
+    of c' runs after that of h', once, for the partials of both."""
     hd = c.data.shape[-1]
     if gates.data.shape != c.data.shape[:-1] + (4 * hd,):
         raise AutodiffError(f"lstm_cell shape mismatch: gates {gates.data.shape} vs cell {c.data.shape}")
-    # (1 + tanh(x/2)) / 2 keeps the input dtype and has no exp to overflow
-    # or underflow, and no branch; its error is within an ulp of 1.
-    sig = np.tanh(0.5 * gates.data[..., : 3 * hd])
-    sig += 1.0
-    sig *= 0.5
-    i, f, o = sig[..., :hd], sig[..., hd : 2 * hd], sig[..., 2 * hd :]
-    cand = np.tanh(gates.data[..., 3 * hd :])
-    c2 = f * c.data + i * cand
-    tc = np.tanh(c2)
+    h2, c2, saved = _cell(gates.data, c.data)
+    dh = []
 
     def c_backward(g):
-        _accumulate_at(gates, (..., slice(0, hd)), g * cand * i * (1.0 - i))
-        _accumulate_at(gates, (..., slice(hd, 2 * hd)), g * c.data * f * (1.0 - f))
-        _accumulate_at(gates, (..., slice(3 * hd, None)), g * i * (1.0 - cand * cand))
-        _accumulate(c, g * f)
+        dgates, dc = _cell_backward(dh[0] if dh else np.zeros_like(g), g, saved)
+        _accumulate(gates, dgates)
+        _accumulate(c, dc)
 
     c_out = _result(c2, (gates, c), c_backward)
 
     def h_backward(g):
-        _accumulate_at(gates, (..., slice(2 * hd, 3 * hd)), g * tc * o * (1.0 - o))
-        _accumulate(c_out, g * o * (1.0 - tc * tc))
+        dh.append(g)
+        if c_out.grad is None:  # so that c_out's backward runs
+            c_out.grad = np.zeros_like(c2)
 
-    return _result(o * tc, (gates, c_out), h_backward), c_out
-
-
-def additive_scores(q: Tensor, proj: Tensor, v: Tensor) -> Tensor:
-    """Additive attention scores tanh(proj + q[:, None]) @ v, (n, m), from
-    (n, h) queries, (n, m, h) projected keys and an (h,) vector v."""
-    energy = np.tanh(proj.data + q.data[:, None])
-
-    def backward(g):
-        d = np.einsum("bn,h->bnh", g, v.data) * (1.0 - energy * energy)
-        _accumulate(proj, d)
-        _accumulate(q, d.sum(axis=1))
-        _accumulate(v, np.einsum("bnh,bn->h", energy, g))
-
-    return _result(np.einsum("bnh,h->bn", energy, v.data), (q, proj, v), backward)
+    return _result(h2, (gates, c_out), h_backward), c_out
 
 
-def attend(scores: Tensor, mask: np.ndarray, nodes: Tensor) -> tuple[Tensor, Tensor]:
-    """(context, weights): the (n, m) weights are the stable softmax of the
-    (n, m) scores, exactly 0 where ``mask`` is False (each row needs one
-    True), and the (n, d) context rows are their sums over (n, m, d) nodes."""
-    if scores.data.ndim != 2 or nodes.data.shape[:2] != scores.data.shape:
-        raise AutodiffError(f"attend shape mismatch: scores {scores.data.shape} vs nodes {nodes.data.shape}")
-    w = np.where(mask, scores.data, -np.inf)
+# The decoder's step weights (arrays or tensors) are, in order: the LSTM's
+# joined gate weight and bias, attn_s.w, attn_s.b, attn_v, attn_h.w, attn_h.b.
+def attention_memory(node_rows: np.ndarray, slots: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, proj): the (n, m, d) node rows at ``slots`` and their
+    (n, m, h) attn_h projection, the keys of additive attention."""
+    nodes = node_rows[slots]
+    proj = nodes @ weights[5]
+    proj += weights[6]
+    return nodes, proj
+
+
+def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Stable softmax of (n, m) scores over the last axis, exactly 0 where
+    ``mask`` is False; each row needs one True."""
+    w = np.where(mask, scores, -np.inf)
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
+    return w
 
-    def to_scores(gw):
-        _accumulate(scores, w * (gw - (gw * w).sum(axis=-1, keepdims=True)))
 
-    def context_backward(g):
-        if scores.requires_grad:
-            to_scores(np.einsum("bd,bnd->bn", g, nodes.data))
-        if nodes.requires_grad:
-            _accumulate(nodes, np.einsum("bn,bd->bnd", w, g))
+def additive_attention(h: np.ndarray, weights, nodes, proj, mask) -> tuple:
+    """(context, weights, energy) of (n, h) decoder states over the first n
+    rows of a memory: the (n, m) weights are the masked softmax of
+    energy @ v, energy = tanh(proj + attn_s(h)), and the contexts their sums."""
+    q = h @ weights[2]
+    q += weights[3]
+    energy = np.tanh(proj[: len(h)] + q[:, None])
+    w = masked_softmax(np.einsum("bnh,h->bn", energy, weights[4]), mask[: len(h)])
+    return np.einsum("bn,bnd->bd", w, nodes[: len(h)]), w, energy
 
-    context = _result(np.einsum("bn,bnd->bd", w, nodes.data), (scores, nodes), context_backward)
-    return context, _result(w, (scores,), to_scores)
+
+def attention_lstm_step(x, context, h, c, weights, nodes, proj, mask) -> tuple:
+    """One decoder step on arrays: the joined-gate affine of the (n, e) token
+    embeddings x, last (n, d) contexts and (n, h) states h, the LSTM cell,
+    and attention from the new h.  Returns (h', c', context', attention
+    weights, saved), ``saved`` being what backward reads."""
+    z = np.concatenate([x, context, h], axis=1)
+    gates = z @ weights[0]
+    gates += weights[1]
+    h, c, cell = _cell(gates, c)
+    context, w, energy = additive_attention(h, weights, nodes, proj, mask)
+    return h, c, context, w, (z, cell, energy)
+
+
+def attention_lstm(embed: Tensor, steps, h: Tensor, c: Tensor, weights, node_rows: Tensor, slots, mask) -> Tensor:
+    """The attention decoder over a teacher-forced batch, as one op: row r
+    of the (n, h) states h and c starts a sequence that attends over
+    ``node_rows[slots[r]]`` where ``mask[r]`` is True.  The initial contexts
+    come from h; then step t feeds the ``embed`` rows of the ids
+    ``steps[t]`` to the first len(steps[t]) rows (steps never grow).
+    Returns every step's rows [h | context], stacked step after step.
+
+    Backward runs the steps in reverse, freeing each step's arrays once
+    passed.  Each weight gets one GEMM, ``embed`` one scatter, and
+    ``node_rows`` the memory gradients summed over all steps, at its real
+    slots only."""
+    rows, hd = h.data.shape
+    w = [t.data for t in weights]
+    sizes = [len(ids) for ids in steps]
+    e, d = embed.data.shape[1], node_rows.data.shape[1]
+    if w[0].shape != (e + d + hd, 4 * hd) or sizes != sorted(sizes, reverse=True) or sizes[0] > rows:
+        raise AutodiffError(f"attention_lstm shape mismatch: gate weight {w[0].shape}, {rows} rows, steps {sizes}")
+    memory = (*attention_memory(node_rows.data, slots, w), mask)
+    context, a0, energy0 = additive_attention(h.data, w, *memory)
+    out = np.empty((sum(sizes), hd + d), dtype=h.data.dtype)
+    hs, cs, saved = h.data, c.data, []
+    for ids, end in zip(steps, np.cumsum(sizes)):
+        n = len(ids)
+        hs, cs, context, a, step = attention_lstm_step(embed.data[ids], context[:n], hs[:n], cs[:n], w, *memory)
+        out[end - n : end, :hd], out[end - n : end, hd:] = hs, context
+        saved.append((np.asarray(ids), hs, a, *step))
+
+    def backward(g):
+        nodes, proj, _ = memory
+        dh_next, dc_next = np.zeros((2, rows, hd), dtype=g.dtype)
+        dctx_next = np.zeros((rows, d), dtype=g.dtype)
+        d_nodes, d_proj = np.zeros_like(nodes), np.zeros_like(proj)
+
+        def attend_backward(dctx, h_t, a, energy):  # the partial of h_t from its context's
+            n = len(a)
+            ga = np.einsum("bd,bnd->bn", dctx, nodes[:n])
+            ds = a * (ga - (ga * a).sum(axis=-1, keepdims=True))
+            d_nodes[:n] += np.einsum("bn,bd->bnd", a, dctx)
+            de = np.einsum("bn,h->bnh", ds, w[4]) * (1.0 - energy * energy)
+            d_proj[:n] += de
+            _accumulate(weights[4], np.einsum("bnh,bn->h", energy, ds))
+            dq = de.sum(axis=1)
+            _defer_outer(weights[2], h_t, dq)
+            _accumulate(weights[3], dq.sum(axis=0))
+            return dq @ w[2].T
+
+        end = len(g)
+        while saved:
+            ids, h_t, a, z, cell, energy = saved.pop()
+            n, end = len(ids), end - len(ids)
+            dh = g[end : end + n, :hd] + dh_next[:n]
+            dh += attend_backward(g[end : end + n, hd:] + dctx_next[:n], h_t, a, energy)
+            dgates, dc_next[:n] = _cell_backward(dh, dc_next[:n], cell)
+            _defer_outer(weights[0], z, dgates)
+            _accumulate(weights[1], dgates.sum(axis=0))
+            dz = dgates @ w[0].T
+            _defer_rows(embed, ids, dz[:, :e])
+            dctx_next[:n], dh_next[:n] = dz[:, e:-hd], dz[:, -hd:]
+        dh_next += attend_backward(dctx_next, h.data, a0, energy0)
+        _accumulate(h, dh_next)
+        _accumulate(c, dc_next)
+        dp = d_proj[mask]
+        _defer_outer(weights[5], nodes[mask], dp)
+        _accumulate(weights[6], dp.sum(axis=0))
+        _defer_rows(node_rows, slots[mask], d_nodes[mask] + dp @ w[5].T)
+
+    return _result(out, (embed, h, c, node_rows, *weights), backward)
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:

@@ -2,12 +2,12 @@
 the graph embedding, additive attention over node embeddings,
 teacher-forced negative log-likelihood, and greedy plus beam decoding.
 
-Every step works on rows, one per sequence being decoded: teacher
-forcing runs a whole minibatch, greedy decoding one row and beam search
-one row per live hypothesis, all through :func:`decoder_step`.  The
-sequences attend over node embeddings padded to the largest graph, with
-a mask over the padding, gathered once per call by
-:func:`attention_memory` from the encoder's node rows.
+Every step works on rows, one per sequence being decoded, and runs
+``autodiff.attention_lstm_step``: teacher forcing over a whole minibatch
+inside the one ``attention_lstm`` op, greedy decoding on one row and beam
+search on one row per live hypothesis, directly on arrays.  Sequences
+attend over node embeddings padded to the largest graph, with a mask
+over the padding, laid out once per call from the encoder's node rows.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import TrainConfig
 from .data import BOS, EOS
-from .nn import create_linear, create_lstm, linear, lstm_step, lstm_weights
+from .nn import create_linear, create_lstm, linear, lstm_weights
 from .optim import ParameterStore
 
 
@@ -28,21 +28,10 @@ from .optim import ParameterStore
 class DecoderState:
     """Decoder state of n sequences, one row each."""
 
-    h: Tensor  # (n, hidden)
-    c: Tensor  # (n, hidden)
-    context: Tensor  # (n, 2 * hidden) attention context
+    h: np.ndarray  # (n, hidden)
+    c: np.ndarray  # (n, hidden)
+    context: np.ndarray  # (n, 2 * hidden) attention context
     prev: np.ndarray  # (n,) token ids fed to the next step
-
-
-@dataclass
-class Memory:
-    """What every decoder step reads, row-aligned with the sequences (a
-    state of n rows attends over the first n rows)."""
-
-    nodes: Tensor  # (rows, Nmax, 2 * hidden) node embeddings, padded
-    mask: np.ndarray  # (rows, Nmax), True at real nodes
-    proj: Tensor  # (rows, Nmax, hidden) node-side additive projection
-    lstm: tuple[Tensor, Tensor]  # dec_lstm's gate weights, joined once
 
 
 def build_decoder_params(
@@ -60,72 +49,47 @@ def build_decoder_params(
     create_linear(store, "dec_out", h, tgt_vocab_size, rng)
 
 
-def attention_memory(
-    node_rows: Tensor, segments: tuple, graph_of_row, store: ParameterStore
-) -> Memory:
-    """Memory for sequences whose row r reads graph ``graph_of_row[r]``:
-    that graph's ``segments`` row (:func:`encoder.padded_index` arrays)
-    of ``node_rows``, padded, in one gather.  The node-side attention
-    projection and the joined LSTM weights are computed once for every
-    step."""
+def step_weights(store: ParameterStore) -> tuple[Tensor, ...]:
+    """The decoder step's weights in the order of ``autodiff``'s attention
+    ops: dec_lstm's gates (joined once), attn_s, attn_v and attn_h."""
+    names = ("attn_s.w", "attn_s.b", "attn_v", "attn_h.w", "attn_h.b")
+    return (*lstm_weights(store, "dec_lstm"), *(store[name] for name in names))
+
+
+def attention_memory(node_rows: np.ndarray, segments: tuple, graph_of_row, store: ParameterStore) -> tuple:
+    """What decoding steps read when row r reads graph ``graph_of_row[r]`` of
+    the encoder's ``node_rows`` and ``segments``: the step weights as arrays,
+    the padded node rows, their attention projection and the mask of real
+    nodes, row-aligned with the sequences (a state of n rows reads the first n)."""
     index, valid = segments
-    nodes = ad.gather(node_rows, index[graph_of_row])
-    proj = linear(store, "attn_h", nodes)
-    return Memory(nodes, valid[graph_of_row], proj, lstm_weights(store, "dec_lstm"))
+    weights = tuple(t.data for t in step_weights(store))
+    return weights, *ad.attention_memory(node_rows, index[graph_of_row], weights), valid[graph_of_row]
 
 
-def attention_context(s: Tensor, memory: Memory, store: ParameterStore) -> tuple[Tensor, Tensor]:
-    """(context, attention weights) for the (n, hidden) decoder states s:
-    (n, 2 * hidden) and (n, Nmax), with weight 0 on padding."""
-    n = s.data.shape[0]
-    nodes = ad.slice_rows(memory.nodes, 0, n)
-    proj = ad.slice_rows(memory.proj, 0, n)
-    scores = ad.additive_scores(linear(store, "attn_s", s), proj, store["attn_v"])
-    return ad.attend(scores, memory.mask[:n], nodes)
+def _affine(x: np.ndarray, store: ParameterStore, prefix: str) -> np.ndarray:
+    out = x @ store[f"{prefix}.w"].data
+    out += store[f"{prefix}.b"].data
+    return out
 
 
-def init_state(
-    graph_emb: Tensor, memory: Memory, store: ParameterStore, cfg: TrainConfig
-) -> DecoderState:
+def init_state(graph_emb: np.ndarray, memory: tuple, store: ParameterStore, cfg: TrainConfig) -> DecoderState:
     """Initial state projected from the (n, 2 * hidden) graph embeddings."""
-    if graph_emb.data.ndim != 2 or graph_emb.data.shape[1] != 2 * cfg.hidden:
-        raise ValueError(
-            f"graph embedding shape {graph_emb.data.shape} does not match 2 * hidden"
-        )
-    h0 = ad.tanh(linear(store, "dec_init_h", graph_emb))
-    c0 = ad.tanh(linear(store, "dec_init_c", graph_emb))
-    context, _ = attention_context(h0, memory, store)
-    return DecoderState(h0, c0, context, np.full(graph_emb.data.shape[0], BOS))
+    if graph_emb.ndim != 2 or graph_emb.shape[1] != 2 * cfg.hidden:
+        raise ValueError(f"graph embedding shape {graph_emb.shape} does not match 2 * hidden")
+    h = np.tanh(_affine(graph_emb, store, "dec_init_h"))
+    c = np.tanh(_affine(graph_emb, store, "dec_init_c"))
+    return DecoderState(h, c, ad.additive_attention(h, *memory)[0], np.full(len(graph_emb), BOS))
 
 
-def decoder_step(state: DecoderState, memory: Memory, store: ParameterStore) -> DecoderState:
-    """Feed ``state.prev`` to the first len(prev) rows, which go on; the
-    others are dropped.  The returned state keeps ``prev`` for the caller
-    to replace."""
-    n = len(state.prev)
-    x = [ad.gather(store["tgt_embed"], state.prev), ad.slice_rows(state.context, 0, n)]
-    h, c = lstm_step(memory.lstm, x + [ad.slice_rows(state.h, 0, n)], ad.slice_rows(state.c, 0, n))
-    context, _ = attention_context(h, memory, store)
-    return DecoderState(h, c, context, state.prev)
-
-
-def _readout(h: Tensor, context: Tensor, store: ParameterStore) -> Tensor:
-    return ad.tanh(linear(store, "dec_readout", ad.concat([h, context])))
-
-
-def next_token_logits(state: DecoderState, store: ParameterStore) -> Tensor:
+def next_token_logits(state: DecoderState, store: ParameterStore) -> np.ndarray:
     """(n, vocab) logits of the token each row emits after its last step."""
-    return linear(store, "dec_out", _readout(state.h, state.context, store))
+    readout = np.tanh(_affine(np.concatenate([state.h, state.context], axis=-1), store, "dec_readout"))
+    return _affine(readout, store, "dec_out")
 
 
 def sequence_loss(
-    node_rows: Tensor,
-    segments: tuple,
-    graph_emb: Tensor,
-    targets: list[list[int]],
-    store: ParameterStore,
-    cfg: TrainConfig,
-    rng: np.random.Generator | None = None,
+    node_rows: Tensor, segments: tuple, graph_emb: Tensor, targets: list[list[int]], store: ParameterStore,
+    cfg: TrainConfig, rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, int]:
     """Teacher-forced negative log-likelihood of a batch encoded by
     :func:`encoder.encode`, summed over all target tokens; ``targets[b]``
@@ -144,26 +108,20 @@ def sequence_loss(
         if target[-1] != EOS:
             raise ValueError("target sequence must end with EOS")
     order = sorted(range(len(targets)), key=lambda b: -len(targets[b]))
-    lengths = np.array([len(targets[b]) for b in order])
-    inputs = np.full((len(order), lengths[0]), BOS)
-    for row, b in enumerate(order):
-        inputs[row, 1 : lengths[row]] = targets[b][:-1]
-
-    memory = attention_memory(node_rows, segments, order, store)
-    state = init_state(ad.gather(graph_emb, order), memory, store, cfg)
-    hs, contexts = [], []
-    for step in range(lengths[0]):
-        state.prev = inputs[: np.count_nonzero(lengths > step), step]
-        state = decoder_step(state, memory, store)
-        hs.append(state.h)
-        contexts.append(state.context)
+    inputs = [[BOS] + targets[b][:-1] for b in order]
+    steps = [[ids[t] for ids in inputs if len(ids) > t] for t in range(len(inputs[0]))]
+    graph_emb = ad.gather(graph_emb, order)
+    h0 = ad.tanh(linear(store, "dec_init_h", graph_emb))
+    c0 = ad.tanh(linear(store, "dec_init_c", graph_emb))
+    slots, mask = (part[order] for part in segments)
+    out = ad.attention_lstm(store["tgt_embed"], steps, h0, c0, step_weights(store), node_rows, slots, mask)
 
     # Step t's rows start at starts[t] in the step-major stack; regather
     # them example by example, in batch order, for the dropout draw.
-    starts = np.cumsum([0] + [h.data.shape[0] for h in hs])
+    starts = np.cumsum([0] + [len(ids) for ids in steps])
     position = np.argsort(order)
     rows = np.concatenate([starts[: len(t)] + position[b] for b, t in enumerate(targets)])
-    readout = ad.gather(_readout(ad.concat(hs, axis=0), ad.concat(contexts, axis=0), store), rows)
+    readout = ad.gather(ad.tanh(linear(store, "dec_readout", out)), rows)
     if rng is not None:
         readout = ad.dropout(readout, cfg.dropout, rng)
     flat = np.concatenate(targets)
@@ -177,34 +135,27 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def greedy_decode(
-    node_rows: Tensor,
-    segments: tuple,
-    graph_emb: Tensor,
-    store: ParameterStore,
-    cfg: TrainConfig,
+    node_rows: Tensor, segments: tuple, graph_emb: Tensor, store: ParameterStore, cfg: TrainConfig
 ) -> list[int]:
     """Argmax decoding of one example (an encoded batch of 1) until EOS or
     the length cap; returns token ids without BOS/EOS."""
-    with ad.no_grad():
-        memory = attention_memory(node_rows, segments, [0], store)
-        state = init_state(graph_emb, memory, store, cfg)
-        out: list[int] = []
-        for _ in range(cfg.max_decode_len):
-            state = decoder_step(state, memory, store)
-            token = int(np.argmax(next_token_logits(state, store).data[0]))
-            if token == EOS:
-                break
-            out.append(token)
-            state.prev = np.array([token])
+    memory = attention_memory(node_rows.data, segments, [0], store)
+    state = init_state(graph_emb.data, memory, store, cfg)
+    out: list[int] = []
+    for _ in range(cfg.max_decode_len):
+        state.h, state.c, state.context, _, _ = ad.attention_lstm_step(
+            store["tgt_embed"].data[state.prev], state.context, state.h, state.c, *memory
+        )
+        token = int(np.argmax(next_token_logits(state, store)[0]))
+        if token == EOS:
+            break
+        out.append(token)
+        state.prev = np.array([token])
     return out
 
 
 def beam_search(
-    node_rows: Tensor,
-    segments: tuple,
-    graph_emb: Tensor,
-    store: ParameterStore,
-    cfg: TrainConfig,
+    node_rows: Tensor, segments: tuple, graph_emb: Tensor, store: ParameterStore, cfg: TrainConfig,
     beam_size: int | None = None,
 ) -> list[int]:
     """Beam decoding of one example (an encoded batch of 1); returns token
@@ -230,40 +181,36 @@ def beam_search(
         raise ValueError("beam_size must be >= 1")
     alpha = cfg.length_norm_alpha
     cap_norm = cfg.max_decode_len**alpha
-    with ad.no_grad():
-        memory = attention_memory(node_rows, segments, np.zeros(width, np.intp), store)
-        state = init_state(graph_emb, memory, store, cfg)
-        log_p = np.zeros(1)  # (live,) running log-probs, float64
-        history = np.zeros((1, 0), dtype=np.intp)  # (live, t) tokens so far
-        best_score, best = -np.inf, None  # best finished hypothesis so far
-        for t in range(cfg.max_decode_len):
-            state = decoder_step(state, memory, store)
-            step = log_softmax(next_token_logits(state, store).data)
-            # Stable sort keeps ties at the lowest token id, matching argmax.
-            top = np.argsort(-step, axis=1, kind="stable")[:, :width]
-            rows = np.repeat(np.arange(len(log_p)), top.shape[1])
-            tokens = top.reshape(-1)
-            cand = log_p[rows] + step[rows, tokens]
-            ended = np.flatnonzero(tokens == EOS)
-            if ended.size:
-                scores = cand[ended] / max(t, 1) ** alpha
-                i = int(np.argmax(scores))  # the first of equal scores
-                if scores[i] > best_score:
-                    best_score, best = scores[i], history[rows[ended[i]]]
-            going = np.flatnonzero(tokens != EOS)
-            keep = going[np.argsort(-(cand[going] / (t + 1) ** alpha), kind="stable")[:width]]
-            log_p = cand[keep]
-            history = np.concatenate([history[rows[keep]], tokens[keep, None]], axis=1)
-            if not keep.size or best_score >= log_p.max() / cap_norm:
-                break
-            parents = rows[keep]
-            state = DecoderState(
-                ad.gather(state.h, parents),
-                ad.gather(state.c, parents),
-                ad.gather(state.context, parents),
-                tokens[keep],
-            )
-        live = log_p / history.shape[1] ** alpha
-        if best is None or (live.size and live.max() > best_score):
-            best = history[np.argmax(live)]
+    memory = attention_memory(node_rows.data, segments, np.zeros(width, np.intp), store)
+    state = init_state(graph_emb.data, memory, store, cfg)
+    log_p = np.zeros(1)  # (live,) running log-probs, float64
+    history = np.zeros((1, 0), dtype=np.intp)  # (live, t) tokens so far
+    best_score, best = -np.inf, None  # best finished hypothesis so far
+    for t in range(cfg.max_decode_len):
+        state.h, state.c, state.context, _, _ = ad.attention_lstm_step(
+            store["tgt_embed"].data[state.prev], state.context, state.h, state.c, *memory
+        )
+        step = log_softmax(next_token_logits(state, store))
+        # Stable sort keeps ties at the lowest token id, matching argmax.
+        top = np.argsort(-step, axis=1, kind="stable")[:, :width]
+        rows = np.repeat(np.arange(len(log_p)), top.shape[1])
+        tokens = top.reshape(-1)
+        cand = log_p[rows] + step[rows, tokens]
+        ended = np.flatnonzero(tokens == EOS)
+        if ended.size:
+            scores = cand[ended] / max(t, 1) ** alpha
+            i = int(np.argmax(scores))  # the first of equal scores
+            if scores[i] > best_score:
+                best_score, best = scores[i], history[rows[ended[i]]]
+        going = np.flatnonzero(tokens != EOS)
+        keep = going[np.argsort(-(cand[going] / (t + 1) ** alpha), kind="stable")[:width]]
+        log_p = cand[keep]
+        history = np.concatenate([history[rows[keep]], tokens[keep, None]], axis=1)
+        if not keep.size or best_score >= log_p.max() / cap_norm:
+            break
+        parents = rows[keep]
+        state = DecoderState(state.h[parents], state.c[parents], state.context[parents], tokens[keep])
+    live = log_p / history.shape[1] ** alpha
+    if best is None or (live.size and live.max() > best_score):
+        best = history[np.argmax(live)]
     return best.tolist()

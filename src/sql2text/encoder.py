@@ -30,7 +30,7 @@ from .autodiff import Tensor
 from .config import TrainConfig
 from .data import Vocabulary
 from .graphs import QueryGraph, add_super_node, disjoint_union
-from .nn import create_linear, create_lstm, linear, lstm_step, lstm_weights
+from .nn import create_linear, create_lstm, linear, lstm_weights
 from .optim import ParameterStore
 
 
@@ -75,7 +75,7 @@ def init_node_features(
     for step in range(lengths[0]):
         n = int(np.count_nonzero(lengths > step))
         x = ad.gather(embed, [vocab.id(text[step]) for text in texts[:n]])
-        h, c = lstm_step(weights, [x, ad.slice_rows(h, 0, n)], ad.slice_rows(c, 0, n))
+        h, c = ad.lstm_cell(ad.affine(ad.concat([x, ad.slice_rows(h, 0, n)]), *weights), ad.slice_rows(c, 0, n))
         still = int(np.count_nonzero(lengths > step + 1))
         if still < n:
             finished.append(ad.slice_rows(h, still, n))

@@ -1,12 +1,12 @@
-"""Shared neural building blocks: linear layers and a gated recurrent cell,
-whose per-gate weights a forward pass joins once so that each step's four
-gates are one ``affine``."""
+"""Shared neural building blocks: linear layers and the weights of a gated
+recurrent cell, whose per-gate weights a forward pass joins once so that
+each step's four gates are one matrix product."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, affine, concat, lstm_cell
+from .autodiff import Tensor, affine, concat
 from .optim import ParameterStore
 
 LSTM_GATES = ("i", "f", "o", "c")
@@ -34,10 +34,3 @@ def lstm_weights(store: ParameterStore, prefix: str) -> tuple[Tensor, Tensor]:
         concat([store[f"{prefix}.{gate}.b"] for gate in LSTM_GATES]),
     )
 
-
-def lstm_step(weights: tuple[Tensor, Tensor], inputs: list[Tensor], c: Tensor) -> tuple[Tensor, Tensor]:
-    """One step of a standard LSTM cell on a batch of rows: ``inputs`` are
-    the (n, *) input blocks followed by the (n, hidden) state h, c is the
-    (n, hidden) cell state and ``weights`` come from :func:`lstm_weights`;
-    returns (h', c')."""
-    return lstm_cell(affine(concat(inputs), *weights), c)

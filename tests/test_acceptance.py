@@ -7,17 +7,12 @@ import time
 import numpy as np
 import pytest
 
+from sql2text import autodiff as ad
 from sql2text.autodiff import Tensor, default_dtype
 from sql2text.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from sql2text.cli import main
 from sql2text.data import SPECIAL_TOKENS, ExamplePair, Vocabulary, build_vocab, tokenize_text
-from sql2text.decoder import (
-    attention_context,
-    attention_memory,
-    decoder_step,
-    init_state,
-    next_token_logits,
-)
+from sql2text.decoder import attention_memory, init_state, next_token_logits
 from sql2text.encoder import build_encoder_params, init_node_features, propagate
 from sql2text.evaluation import bleu4_corpus, evaluate_model
 from sql2text.graphs import GraphNode, QueryGraph, build_graph, template_interpret, to_undirected
@@ -273,14 +268,17 @@ def test_criterion_07_decoder_equivalences():
     # Attention weights along a decode rollout sum to 1 at every step.
     randomize_parameters(model.store, np.random.default_rng(123))
     node_rows, segments, graph_emb = model.encode_graphs([graph])
-    memory = attention_memory(node_rows, segments, [0], model.store)
-    state = init_state(graph_emb, memory, model.store, config)
+    memory = attention_memory(node_rows.data, segments, [0], model.store)
+    state = init_state(graph_emb.data, memory, model.store, config)
+    embed = model.store["tgt_embed"].data
     for _ in range(10):
-        _, weights = attention_context(state.h, memory, model.store)
-        assert (weights.data >= 0).all()
-        assert abs(float(weights.data.sum()) - 1.0) < 1e-6
-        state = decoder_step(state, memory, model.store)
-        state.prev = np.argmax(next_token_logits(state, model.store).data, axis=1)
+        _, weights, _ = ad.additive_attention(state.h, *memory)
+        assert (weights >= 0).all()
+        assert abs(float(weights.sum()) - 1.0) < 1e-6
+        state.h, state.c, state.context, _, _ = ad.attention_lstm_step(
+            embed[state.prev], state.context, state.h, state.c, *memory
+        )
+        state.prev = np.argmax(next_token_logits(state, model.store), axis=1)
     announce("7", "beam-1 equals greedy on 50 probes; attention weights sum to 1 at every step")
 
 

@@ -1,6 +1,7 @@
 import math
 import threading
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -280,14 +281,14 @@ def test_training_matches_reference_kernels_bitwise(ge_method, undirected, monke
 
 
 def attend_weights(scores) -> np.ndarray:
-    """The weights output of ``attend`` for one or more rows of scores."""
-    x = Tensor(np.atleast_2d(np.asarray(scores, dtype=float)))
-    _, weights = ad.attend(x, np.ones(x.data.shape, dtype=bool), Tensor(np.zeros(x.data.shape + (1,))))
-    return weights.data
+    """The attention weights ``masked_softmax`` gives one or more rows of
+    scores, in the default dtype."""
+    x = Tensor(np.atleast_2d(np.asarray(scores, dtype=float))).data
+    return ad.masked_softmax(x, np.ones(x.shape, dtype=bool))
 
 
 class TestSoftmax:
-    # The softmax inside ``attend``, seen through its weights output.
+    # The softmax of the decoder's attention.
     def test_symmetry(self):
         assert np.allclose(attend_weights([0.0, 0.0]), [[0.5, 0.5]])
 
@@ -367,41 +368,48 @@ class TestFusedOps:
         q, proj, v = rng.normal(size=(2, 3)), rng.normal(size=(2, 4, 3)), rng.normal(size=3)
         nodes = rng.normal(size=(2, 4, 5))
         mask = np.array([[True, True, True, False], [True, False, True, True]])
-        scores = ad.additive_scores(Tensor(q), Tensor(proj), Tensor(v))
-        want_scores = np.tanh(proj + q[:, None, :]) @ v
-        assert np.allclose(scores.data, want_scores, rtol=0, atol=1e-12)
-        context, weights = ad.attend(scores, mask, Tensor(nodes))
-        e = np.where(mask, np.exp(want_scores), 0.0)
+        # An identity attn_s, so the decoder states are the queries q.
+        weights = (None, None, np.eye(3), np.zeros(3), v)
+        context, attn, energy = ad.additive_attention(q, weights, nodes, proj, mask)
+        assert np.allclose(energy, np.tanh(proj + q[:, None, :]), rtol=0, atol=1e-12)
+        e = np.where(mask, np.exp(np.tanh(proj + q[:, None, :]) @ v), 0.0)
         want_w = e / e.sum(axis=1, keepdims=True)
-        assert np.allclose(weights.data, want_w, rtol=0, atol=1e-12)
-        assert np.allclose(context.data, np.einsum("bn,bnd->bd", want_w, nodes), rtol=0, atol=1e-12)
+        assert np.allclose(attn, want_w, rtol=0, atol=1e-12)
+        assert np.allclose(context, np.einsum("bn,bnd->bd", want_w, nodes), rtol=0, atol=1e-12)
 
     def test_masked_positions_get_zero_weight_and_zero_gradient(self, f64):
         rng = np.random.default_rng(10)
-        scores, nodes = param(rng.normal(size=(3, 3)) * 5), param(rng.normal(size=(3, 3, 2)))
-        context, weights = ad.attend(scores, MASK, nodes)
-        assert (weights.data[~MASK] == 0.0).all()
-        assert np.allclose(weights.data.sum(axis=1), 1.0, rtol=0, atol=1e-15)
-        (ad.tsum(ad.tanh(context)) + weighted(weights)).backward()
-        assert (scores.grad[~MASK] == 0.0).all()
-        assert (nodes.grad[~MASK] == 0.0).all()
+        # Node row 3 fills padding slots only.
+        slots = np.array([[0, 1, 3], [2, 3, 3], [0, 1, 2]])
+        args = decoder_args(lambda shape, k: param(rng.normal(size=shape) * 2), [[1, 2, 3], [0]], slots, MASK)
+        embed, _, h, c, weights, node_rows, _, _ = args
+        memory = (*ad.attention_memory(node_rows.data, slots, [t.data for t in weights]), MASK)
+        _, attn, _ = ad.additive_attention(h.data, [t.data for t in weights], *memory)
+        assert (attn[~MASK] == 0.0).all()
+        assert np.allclose(attn.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        ad.tsum(ad.tanh(ad.attention_lstm(*args))).backward()
+        assert np.abs(node_rows.grad[:3]).min() > 0.0
+        assert (node_rows.grad[3] == 0.0).all()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_attend_large_scores_do_not_overflow(self, dtype):
         scores = np.array([[1e3, -1e3, 0.0], [-1e3, -1e3, -1e3], [1e3, 1e3, 5.0]], dtype=dtype)
+        rng = np.random.default_rng(12)
         with ad.default_dtype(dtype), np.errstate(over="raise", invalid="raise", divide="raise"):
-            s = param(scores)
-            context, weights = ad.attend(s, MASK, Tensor(np.ones((3, 3, 2))))
-            (ad.tsum(context) + ad.tsum(weights)).backward()
-        assert np.isfinite(weights.data).all() and np.isfinite(s.grad).all()
-        assert np.allclose(weights.data, [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
-        assert np.allclose(weights.data.sum(axis=1), 1.0)
+            weights = ad.masked_softmax(scores, MASK)
+            args = decoder_args(lambda shape, k: param(rng.normal(size=shape)))
+            args[4][4].data *= 1e3  # attn_v: scores in the thousands
+            ad.tsum(ad.attention_lstm(*args)).backward()
+        assert weights.dtype == dtype
+        assert all(np.isfinite(t.grad).all() for t in [args[0], *args[2:4], *args[4], args[5]])
+        assert np.allclose(weights, [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
+        assert np.allclose(weights.sum(axis=1), 1.0)
 
     def test_shape_mismatches_rejected(self):
         with pytest.raises(AutodiffError, match="lstm_cell"):
             ad.lstm_cell(Tensor(np.zeros((2, 8))), Tensor(np.zeros((2, 3))))
-        with pytest.raises(AutodiffError, match="attend"):
-            ad.attend(Tensor(np.zeros((2, 3))), np.ones((2, 3), dtype=bool), Tensor(np.zeros((2, 4, 1))))
+        with pytest.raises(AutodiffError, match="attention_lstm"):
+            ad.attention_lstm(*decoder_args(lambda shape, k: Tensor(np.zeros(shape)), [[0], [0, 1]]))
 
 
 class TestBackward:
@@ -507,13 +515,38 @@ def gates_of(p):
     return ad.concat([p, ad.scale(p, -0.5), ad.tanh(p), ad.scale(p, 1.5)])
 
 
-def nodes_of(p):
-    """(3, 3, 3) attention keys or nodes made from p."""
-    return ad.reshape(ad.concat([ad.tanh(p), p, ad.scale(p, 0.3)]), (3, 3, 3))
-
-
 def weighted(t):
     return ad.tsum(ad.mul(t, Tensor(WEIGHTS)))
+
+
+# A ragged decoder batch: three sequences of 5, 3 and 1 steps (one token
+# repeats within a step) over node slots padded where RAGGED_MASK is False.
+HD, EMBED, NODE = 2, 2, 3
+RAGGED_STEPS = [[1, 2, 3], [0, 3], [2, 2], [1], [3]]
+RAGGED_SLOTS = np.array([[0, 1, 2], [3, 0, 0], [2, 1, 0]])
+RAGGED_MASK = np.array([[True, True, True], [True, False, False], [True, True, False]])
+
+
+def decoder_args(make, steps=RAGGED_STEPS, slots=RAGGED_SLOTS, mask=RAGGED_MASK):
+    """Arguments of ``attention_lstm`` for a 4-token vocabulary, 4 node rows
+    and 3 sequences, each tensor made by ``make(shape, key)``."""
+    shapes = [(EMBED + NODE + HD, 4 * HD), (4 * HD,), (HD, HD), (HD,), (HD,), (NODE, HD), (HD,)]
+    weights = [make(shape, k) for k, shape in enumerate(shapes)]
+    return make((4, EMBED), 7), steps, make((3, HD), 8), make((3, HD), 9), weights, make((4, NODE), 10), slots, mask
+
+
+def mixed(p, shape, key):
+    """A tensor of the given shape that is a fixed random linear map of p."""
+    r = np.random.default_rng(key).normal(size=(p.data.size, math.prod(shape))) / 3
+    return ad.reshape(ad.affine(ad.reshape(p, (1, p.data.size)), Tensor(r), Tensor(np.zeros(r.shape[1]))), shape)
+
+
+def ragged_decoder_loss(p, h_weight=1.0):
+    # A weighted sum over the op's [h | context] rows, h scaled by h_weight.
+    out = ad.attention_lstm(*decoder_args(lambda shape, k: mixed(p, shape, k)))
+    weights = np.random.default_rng(11).normal(size=out.data.shape)
+    weights[:, :HD] *= h_weight
+    return ad.tsum(ad.mul(ad.tanh(out), Tensor(weights)))
 
 OP_CASES = {
     "affine_2d2d": lambda p: ad.tsum(ad.affine(p, p, ad.gather(p, 1))),
@@ -541,15 +574,10 @@ OP_CASES = {
     "lstm_cell_chain": lambda p: (
         lambda hc: weighted(ad.lstm_cell(gates_of(hc[0]), hc[1])[0])
     )(ad.lstm_cell(gates_of(p), ad.tanh(p))),
-    "additive_scores": lambda p: weighted(
-        ad.additive_scores(p, nodes_of(p), ad.gather(p, 2))
-    ),
-    "attend_context": lambda p: ad.tsum(
-        ad.tanh(ad.attend(ad.scale(p, 2.0), MASK, nodes_of(p))[0])
-    ),
-    "attend_both": lambda p: (
-        lambda cw: ad.tsum(ad.tanh(cw[0])) + weighted(cw[1])
-    )(ad.attend(ad.additive_scores(p, nodes_of(p), ad.gather(p, 0)), MASK, nodes_of(ad.tanh(p)))),
+    # Every input of the decoder op is a different map of p.
+    "attention_lstm_ragged": ragged_decoder_loss,
+    # Only the contexts are read: h gets its gradient through attention.
+    "attention_lstm_context": lambda p: ragged_decoder_loss(p, h_weight=0.0),
     "concat": lambda p: ad.tsum(ad.concat([ad.gather(p, 0), ad.gather(p, 2)])),
     "stack_max": lambda p: ad.tsum(
         ad.segment_max(
@@ -558,9 +586,6 @@ OP_CASES = {
             np.ones((1, 3), dtype=bool),
         )
     ),
-    "softmax": lambda p: ad.gather(ad.reshape(
-        ad.attend(ad.gather(p, [1]), np.ones((1, 3), dtype=bool), ad.gather(nodes_of(p), [1]))[1], (3,)
-    ), 0),
     # p receives deferred outer products from vector and matrix products.
     "affine_shared_weight": lambda p: (
         ad.tsum(
@@ -572,7 +597,7 @@ OP_CASES = {
     # Non-leaf matrices receive deferred pairs, then backpropagate them.
     "nonleaf_pairs": lambda p: (
         ad.tsum(ad.tanh(ad.affine(
-            ad.attend(p, MASK, nodes_of(p))[1], ad.tanh(p), ad.gather(p, 0)
+            ad.tanh(ad.scale(p, -1.5)), ad.tanh(p), ad.gather(p, 0)
         )))
         + ad.tsum(ad.tanh(ad.affine(
             ad.gather(p, [2, 0]), ad.reshape(ad.gather(p, 0), (3, 1)), ad.gather(ad.gather(p, 1), [2])
@@ -593,7 +618,6 @@ OP_CASES = {
             Tensor(WEIGHTS),
         )
     ),
-    "masked_softmax": lambda p: weighted(ad.attend(p, MASK, nodes_of(p))[1]),
     "gather_2d_repeated": lambda p: ad.tsum(
         ad.tanh(ad.gather(p, np.array([[0, 2], [2, 2]])))
     ),
@@ -609,7 +633,7 @@ OP_CASES = {
 @pytest.mark.parametrize("name", sorted(OP_CASES))
 def test_op_gradients_match_finite_differences(name, f64):
     # Inputs chosen away from ReLU kinks and max-pool ties.
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     p = param(rng.normal(size=(3, 3)) + 0.1)
     loss = OP_CASES[name](p)
     loss.backward()
@@ -619,7 +643,7 @@ def test_op_gradients_match_finite_differences(name, f64):
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))
 def test_op_gradients_accumulate_over_backward_calls(name, f64):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     p = param(rng.normal(size=(3, 3)) + 0.1)
     OP_CASES[name](p).backward()
     first = p.grad.copy()

@@ -5,17 +5,14 @@ import numpy as np
 import pytest
 
 from sql2text import autodiff as ad
-from sql2text import decoder
 from sql2text.autodiff import Tensor, default_dtype
 from sql2text.config import TrainConfig
 from sql2text.data import BOS, EOS
 from sql2text.decoder import (
     DecoderState,
-    attention_context,
     attention_memory,
     beam_search,
     build_decoder_params,
-    decoder_step,
     greedy_decode,
     init_state,
     log_softmax,
@@ -60,12 +57,25 @@ def one(nodes: Tensor, graph_emb: Tensor):
 
 def memory_of(nodes: Tensor, store):
     node_rows, segments, _ = one(nodes, ad.zeros((nodes.data.shape[1],)))
-    return attention_memory(node_rows, segments, [0], store)
+    return attention_memory(node_rows.data, segments, [0], store)
+
+
+def decode_step(state, memory, store) -> DecoderState:
+    # The step greedy and beam search run: state.prev in, prev kept.
+    x = store["tgt_embed"].data[state.prev]
+    h, c, context, _, _ = ad.attention_lstm_step(x, state.context, state.h, state.c, *memory)
+    return DecoderState(h, c, context, state.prev)
+
+
+def attention(s: Tensor, memory):
+    # (context, attention weights) of decoder states s over the memory.
+    context, weights, _ = ad.additive_attention(s.data, *memory)
+    return context, weights
 
 
 def first_distribution(state, memory, store) -> np.ndarray:
-    state = decoder_step(state, memory, store)
-    logits = next_token_logits(state, store).data[0]
+    state = decode_step(state, memory, store)
+    logits = next_token_logits(state, store)[0]
     e = np.exp(logits - logits.max())
     return e / e.sum(), state
 
@@ -76,34 +86,34 @@ class TestInitState:
         store = make_store(cfg)
         for name in ("dec_init_h.w", "dec_init_h.b", "dec_init_c.w", "dec_init_c.b"):
             store[name].data = np.zeros_like(store[name].data)
-        state = init_state(ad.zeros((1, NODE_DIM)), memory_of(random_nodes(2), store), store, cfg)
-        assert np.array_equal(state.h.data[0], np.zeros(3, dtype=np.float32))
-        assert np.array_equal(state.c.data[0], np.zeros(3, dtype=np.float32))
+        state = init_state(ad.zeros((1, NODE_DIM)).data, memory_of(random_nodes(2), store), store, cfg)
+        assert np.array_equal(state.h[0], np.zeros(3, dtype=np.float32))
+        assert np.array_equal(state.c[0], np.zeros(3, dtype=np.float32))
         assert state.prev.tolist() == [BOS]
 
     def test_distinct_embeddings_give_distinct_states(self):
         cfg = small_cfg()
         store = make_store(cfg, randomize=1)
         memory = memory_of(random_nodes(2), store)
-        s1 = init_state(Tensor([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]), memory, store, cfg)
-        s2 = init_state(Tensor([[0.0, 1.0, 0.0, 0.0, 0.0, 0.0]]), memory, store, cfg)
-        assert not np.allclose(s1.h.data, s2.h.data)
+        s1 = init_state(Tensor([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]).data, memory, store, cfg)
+        s2 = init_state(Tensor([[0.0, 1.0, 0.0, 0.0, 0.0, 0.0]]).data, memory, store, cfg)
+        assert not np.allclose(s1.h, s2.h)
 
     def test_deterministic(self):
         cfg = small_cfg()
         store = make_store(cfg, randomize=2)
         memory = memory_of(random_nodes(3), store)
-        ge = Tensor([[0.1, -0.2, 0.3, 0.4, -0.5, 0.6]])
+        ge = Tensor([[0.1, -0.2, 0.3, 0.4, -0.5, 0.6]]).data
         a = init_state(ge, memory, store, cfg)
         b = init_state(ge, memory, store, cfg)
-        assert np.array_equal(a.h.data, b.h.data)
-        assert np.array_equal(a.context.data, b.context.data)
+        assert np.array_equal(a.h, b.h)
+        assert np.array_equal(a.context, b.context)
 
     def test_dimension_mismatch_rejected(self):
         cfg = small_cfg()
         store = make_store(cfg)
         with pytest.raises(ValueError):
-            init_state(Tensor([[1.0, 2.0]]), memory_of(random_nodes(2), store), store, cfg)
+            init_state(Tensor([[1.0, 2.0]]).data, memory_of(random_nodes(2), store), store, cfg)
 
 
 class TestAttention:
@@ -112,17 +122,17 @@ class TestAttention:
         store = make_store(cfg, randomize=3)
         nodes = random_nodes(1, seed=5)
         memory = memory_of(nodes, store)
-        context, weights = attention_context(Tensor([[0.3, -0.1, 0.6]]), memory, store)
-        assert np.array_equal(weights.data[0], np.array([1.0], dtype=np.float32))
-        assert np.allclose(context.data[0], nodes.data[0])
+        context, weights = attention(Tensor([[0.3, -0.1, 0.6]]), memory)
+        assert np.array_equal(weights[0], np.array([1.0], dtype=np.float32))
+        assert np.allclose(context[0], nodes.data[0])
 
     def test_identical_nodes_get_uniform_weights(self):
         cfg = small_cfg()
         store = make_store(cfg, randomize=4)
         row = np.array([0.5, 1.0, -0.5, 0.25, 0.0, 0.0], dtype=np.float32)
         memory = memory_of(Tensor(np.stack([row] * 4)), store)
-        _, weights = attention_context(Tensor([[0.3, -0.1, 0.6]]), memory, store)
-        assert np.allclose(weights.data, 0.25, atol=1e-6)
+        _, weights = attention(Tensor([[0.3, -0.1, 0.6]]), memory)
+        assert np.allclose(weights, 0.25, atol=1e-6)
 
     def test_weights_nonnegative_and_sum_to_one(self):
         cfg = small_cfg()
@@ -130,9 +140,9 @@ class TestAttention:
         memory = memory_of(random_nodes(6, seed=6), store)
         for seed in range(10):
             s = Tensor(np.random.default_rng(seed).normal(size=(1, 3)))
-            _, weights = attention_context(s, memory, store)
-            assert (weights.data >= 0).all()
-            assert abs(float(weights.data.sum()) - 1.0) < 1e-6
+            _, weights = attention(s, memory)
+            assert (weights >= 0).all()
+            assert abs(float(weights.sum()) - 1.0) < 1e-6
 
 
 class TestDecodeStep:
@@ -140,7 +150,7 @@ class TestDecodeStep:
         cfg = small_cfg()
         store = make_store(cfg, randomize=6)
         memory = memory_of(random_nodes(3, seed=7), store)
-        state = init_state(ad.zeros((1, NODE_DIM)), memory, store, cfg)
+        state = init_state(ad.zeros((1, NODE_DIM)).data, memory, store, cfg)
         dist, _ = first_distribution(state, memory, store)
         assert dist.shape == (VOCAB,)
         assert abs(float(dist.sum()) - 1.0) < 1e-6
@@ -168,7 +178,7 @@ class TestDecodeStep:
             store = make_store(cfg, randomize=8)
             nodes = Tensor(np.random.default_rng(9).normal(size=(2, 4)))  # 2 * hidden columns
             memory = memory_of(nodes, store)
-            state = init_state(Tensor([[0.2, -0.4, 0.1, 0.3]]), memory, store, cfg)
+            state = init_state(Tensor([[0.2, -0.4, 0.1, 0.3]]).data, memory, store, cfg)
             tokens = [4, 7]
             dists = []
             for token in tokens:
@@ -236,7 +246,7 @@ class TestSequenceLoss:
         loss, count = sequence_loss(*one(nodes, ge), [[EOS]], store, cfg)
         assert count == 1
         memory = memory_of(nodes, store)
-        state = init_state(ad.reshape(ge, (1, NODE_DIM)), memory, store, cfg)
+        state = init_state(ad.reshape(ge, (1, NODE_DIM)).data, memory, store, cfg)
         dist, _ = first_distribution(state, memory, store)
         assert loss.item() == pytest.approx(-math.log(float(dist[EOS])), abs=1e-5)
 
@@ -360,42 +370,41 @@ def reference_beam_search(node_rows, segments, graph_emb, store, cfg, beam_size=
     keyed sort, and an early stop only when alpha is 0."""
     width = beam_size if beam_size is not None else cfg.beam_size
     alpha = cfg.length_norm_alpha
-    with ad.no_grad():
-        copies = np.zeros(width, dtype=np.intp)
-        memory = attention_memory(node_rows, segments, copies, store)
-        state = init_state(graph_emb, memory, store, cfg)
-        live = [Hypothesis((), 0.0, 0, False)]
-        done: list[Hypothesis] = []
-        for _ in range(cfg.max_decode_len):
-            state = decoder_step(state, memory, store)
-            log_probs = log_softmax(next_token_logits(state, store).data)
-            candidates: list[Hypothesis] = []
-            for row, hyp in enumerate(live):
-                top = np.argsort(-log_probs[row], kind="stable")[:width]
-                for token in top:
-                    token = int(token)
-                    lp = hyp.log_prob + float(log_probs[row, token])
-                    if token == EOS:
-                        candidates.append(Hypothesis(hyp.tokens, lp, row, True))
-                    else:
-                        candidates.append(Hypothesis(hyp.tokens + (token,), lp, row, False))
-            done.extend(h for h in candidates if h.terminated)
-            alive = [h for h in candidates if not h.terminated]
-            alive.sort(key=lambda h: -h.score(alpha))
-            live = alive[:width]
-            if not live:
+    copies = np.zeros(width, dtype=np.intp)
+    memory = attention_memory(node_rows.data, segments, copies, store)
+    state = init_state(graph_emb.data, memory, store, cfg)
+    live = [Hypothesis((), 0.0, 0, False)]
+    done: list[Hypothesis] = []
+    for _ in range(cfg.max_decode_len):
+        state = decode_step(state, memory, store)
+        log_probs = log_softmax(next_token_logits(state, store))
+        candidates: list[Hypothesis] = []
+        for row, hyp in enumerate(live):
+            top = np.argsort(-log_probs[row], kind="stable")[:width]
+            for token in top:
+                token = int(token)
+                lp = hyp.log_prob + float(log_probs[row, token])
+                if token == EOS:
+                    candidates.append(Hypothesis(hyp.tokens, lp, row, True))
+                else:
+                    candidates.append(Hypothesis(hyp.tokens + (token,), lp, row, False))
+        done.extend(h for h in candidates if h.terminated)
+        alive = [h for h in candidates if not h.terminated]
+        alive.sort(key=lambda h: -h.score(alpha))
+        live = alive[:width]
+        if not live:
+            break
+        if alpha == 0.0 and done:
+            if max(h.score(alpha) for h in done) >= live[0].score(alpha):
                 break
-            if alpha == 0.0 and done:
-                if max(h.score(alpha) for h in done) >= live[0].score(alpha):
-                    break
-            parents = [h.parent for h in live]
-            state = DecoderState(
-                ad.gather(state.h, parents),
-                ad.gather(state.c, parents),
-                ad.gather(state.context, parents),
-                np.array([h.tokens[-1] for h in live]),
-            )
-        best = max(done + live, key=lambda h: h.score(alpha))
+        parents = [h.parent for h in live]
+        state = DecoderState(
+            state.h[parents],
+            state.c[parents],
+            state.context[parents],
+            np.array([h.tokens[-1] for h in live]),
+        )
+    best = max(done + live, key=lambda h: h.score(alpha))
     return list(best.tokens)
 
 
@@ -470,9 +479,10 @@ class TestBeamSearchMatchesReference:
 
         def counted(*args):
             steps[-1] += 1
-            return decoder_step(*args)
+            return step(*args)
 
-        monkeypatch.setattr(decoder, "decoder_step", counted)
+        step = ad.attention_lstm_step
+        monkeypatch.setattr(ad, "attention_lstm_step", counted)
         for seed in range(10):
             store, batch = probe(seed, cfg)
             steps.append(0)

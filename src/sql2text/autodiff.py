@@ -8,18 +8,19 @@ suites switch the engine to float64 through :func:`default_dtype`.
 
 Operations work on whole batches: the rows of a matrix are the nodes or
 the sequences of a minibatch, and the row-level ops (``gather``,
-``slice_rows``, ``segment_max``) let one op serve the whole minibatch
-instead of a Python loop over vectors.
+``segment_max``) let one op serve the whole minibatch instead of a
+Python loop over vectors.
 
-Every linear layer is one ``affine`` op (``x @ w + b``), an LSTM's four
-gates included, and ``lstm_cell`` does a cell's gate math.  The attention
-decoder is one op over a whole teacher-forced batch, ``attention_lstm``:
-its forward runs ``attention_lstm_step``, a numpy function that greedy
-and beam decoding call directly on arrays, and its backward is
-hand-written backpropagation through time.
+Every linear layer is one ``affine`` op (``x @ w + b``).  Each LSTM is
+one op over all its steps, whose backward is hand-written
+backpropagation through time, and both share the cell math (``_cell``,
+``_cell_backward``): ``lstm`` reads rows of token ids from zero states,
+and the attention decoder is ``attention_lstm``, one op over a whole
+teacher-forced batch.  Its forward runs ``attention_lstm_step``, a numpy
+function that greedy and beam decoding call directly on arrays.
 Weight and embedding-lookup gradients are not summed as they arrive.
-``affine`` and ``attention_lstm`` store the operand pair of each outer
-product on its weight matrix, and ``gather`` and ``attention_lstm`` each
+``affine`` and the two LSTM ops store the operand pair of each outer
+product on its weight matrix, and ``gather`` and the LSTM ops each
 looked-up index with its gradient; when
 the reverse sweep reaches the matrix, all stored pairs become its
 gradient in one GEMM and all stored rows in one ``np.add.at`` on the
@@ -243,10 +244,6 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=_DEFAULT_DTYPE.get()))
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if g.shape == shape:
         return g
@@ -360,19 +357,6 @@ def gather(m: Tensor, index) -> Tensor:
     return _result(out, (m,), backward)
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """Rows start:stop of a, as a view; a itself when that is every row."""
-    if start == 0 and stop == a.data.shape[0]:
-        return a
-
-    def backward(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[start:stop] += g
-
-    return _result(a.data[start:stop], (a,), backward)
-
-
 def reshape(a: Tensor, shape: tuple) -> Tensor:
     def backward(g):
         _accumulate(a, g.reshape(a.data.shape))
@@ -448,30 +432,47 @@ def _cell_backward(dh: np.ndarray, dc: np.ndarray, saved: tuple) -> tuple[np.nda
     return np.concatenate(parts, axis=-1), dc * f
 
 
-def lstm_cell(gates: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-    """(h', c') = (o*tanh(c'), f*c + i*tanh(cand)) from (n, 4h) gate
-    pre-activations in i, f, o, cand order, i, f and o through a sigmoid,
-    and the (n, h) cell state c.  h' has c' as a parent, so the backward
-    of c' runs after that of h', once, for the partials of both."""
-    hd = c.data.shape[-1]
-    if gates.data.shape != c.data.shape[:-1] + (4 * hd,):
-        raise AutodiffError(f"lstm_cell shape mismatch: gates {gates.data.shape} vs cell {c.data.shape}")
-    h2, c2, saved = _cell(gates.data, c.data)
-    dh = []
+def lstm(embed: Tensor, steps, weights) -> Tensor:
+    """An LSTM over rows of token ids, as one op: every row starts from zero
+    states, and step t feeds the ``embed`` rows of the ids ``steps[t]`` to
+    the first len(steps[t]) rows (steps never grow).  ``weights`` are the
+    joined gate weight and bias.  Returns every step's h rows, stacked step
+    after step.
 
-    def c_backward(g):
-        dgates, dc = _cell_backward(dh[0] if dh else np.zeros_like(g), g, saved)
-        _accumulate(gates, dgates)
-        _accumulate(c, dc)
+    Backward runs the steps in reverse, freeing each step's arrays once
+    passed.  The gate weight gets one GEMM and ``embed`` one scatter."""
+    w, b = weights
+    sizes = [len(ids) for ids in steps]
+    e, hd = embed.data.shape[1], w.data.shape[1] // 4
+    if w.data.shape != (e + hd, 4 * hd) or b.data.shape != (4 * hd,) or sizes != sorted(sizes, reverse=True):
+        shapes = f"embed {embed.data.shape}, gates {w.data.shape} and {b.data.shape}"
+        raise AutodiffError(f"lstm shape mismatch: {shapes}, steps {sizes}")
+    out = np.empty((sum(sizes), hd), dtype=embed.data.dtype)
+    h = c = np.zeros((sizes[0], hd), dtype=embed.data.dtype)
+    saved = []
+    for ids, end in zip(steps, np.cumsum(sizes)):
+        n = len(ids)
+        z = np.concatenate([embed.data[ids], h[:n]], axis=1)
+        gates = z @ w.data
+        gates += b.data
+        h, c, cell = _cell(gates, c[:n])
+        out[end - n : end] = h
+        saved.append((np.asarray(ids), z, cell))
 
-    c_out = _result(c2, (gates, c), c_backward)
+    def backward(g):
+        dh_next, dc_next = np.zeros((2, sizes[0], hd), dtype=g.dtype)
+        end = len(g)
+        while saved:
+            ids, z, cell = saved.pop()
+            n, end = len(ids), end - len(ids)
+            dgates, dc_next[:n] = _cell_backward(g[end : end + n] + dh_next[:n], dc_next[:n], cell)
+            _defer_outer(w, z, dgates)
+            _accumulate(b, dgates.sum(axis=0))
+            dz = dgates @ w.data.T
+            _defer_rows(embed, ids, dz[:, :e])
+            dh_next[:n] = dz[:, e:]
 
-    def h_backward(g):
-        dh.append(g)
-        if c_out.grad is None:  # so that c_out's backward runs
-            c_out.grad = np.zeros_like(c2)
-
-    return _result(h2, (gates, c_out), h_backward), c_out
+    return _result(out, (embed, w, b), backward)
 
 
 # The decoder's step weights (arrays or tensors) are, in order: the LSTM's

@@ -271,8 +271,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate interpretations from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     add_query_source(p)
-    p.add_argument("--beam", type=_positive_int, default=None, help="beam size override")
-    p.add_argument("--greedy", action="store_true", help="greedy decoding")
+    decoding = p.add_mutually_exclusive_group()
+    decoding.add_argument("--beam", type=_positive_int, default=None, help="beam size override")
+    decoding.add_argument("--greedy", action="store_true", help="greedy decoding")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("evaluate", help="corpus BLEU-4 of a checkpoint on a test set")

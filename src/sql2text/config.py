@@ -63,8 +63,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr!r}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
         if not self.clip_norm > 0:
             raise ValueError(f"clip_norm must be positive, got {self.clip_norm!r}")
         if not 0 <= self.dropout < 1:

@@ -14,9 +14,9 @@ node points at.
 
 A batch of graphs is encoded as their disjoint union, so each of these
 steps is a few whole-matrix operations over all nodes of the batch: the
-text recurrence runs once over the batch's distinct node texts, each hop
-aggregates through a padded neighbor-index array, and the readouts are
-segment maxima (or row picks) per graph.
+text recurrence is one op (``autodiff.lstm``) over the batch's distinct
+node texts, each hop aggregates through a padded neighbor-index array,
+and the readouts are segment maxima (or row picks) per graph.
 """
 
 from __future__ import annotations
@@ -63,26 +63,17 @@ def init_node_features(
     graph: QueryGraph, vocab: Vocabulary, store: ParameterStore, cfg: TrainConfig
 ) -> Tensor:
     """(N, d) initial features: per node, the final hidden state of the
-    shared recurrent encoder run over the node's token embeddings.  It runs
-    once over the distinct texts as rows, longest first, so each step runs
-    on the prefix of rows still being read and no padding is computed."""
+    shared recurrent encoder run over the node's token embeddings.  One
+    ``ad.lstm`` op runs it over the distinct texts as rows, longest first,
+    so each step runs on the prefix of rows still being read and no
+    padding is computed."""
     texts = sorted(dict.fromkeys(node.text for node in graph.nodes), key=len, reverse=True)
-    lengths = np.array([len(text) for text in texts])
-    embed = store["src_embed"]
-    weights = lstm_weights(store, "node_lstm")
-    h = c = ad.zeros((len(texts), cfg.hidden))
-    finished: list[Tensor] = []
-    for step in range(lengths[0]):
-        n = int(np.count_nonzero(lengths > step))
-        x = ad.gather(embed, [vocab.id(text[step]) for text in texts[:n]])
-        h, c = ad.lstm_cell(ad.affine(ad.concat([x, ad.slice_rows(h, 0, n)]), *weights), ad.slice_rows(c, 0, n))
-        still = int(np.count_nonzero(lengths > step + 1))
-        if still < n:
-            finished.append(ad.slice_rows(h, still, n))
-    # Rows finish shortest first; reversed, the blocks are in row order.
-    feats = ad.concat(finished[::-1], axis=0)
-    row = {text: r for r, text in enumerate(texts)}
-    return ad.gather(feats, [row[node.text] for node in graph.nodes])
+    steps = [[vocab.id(text[t]) for text in texts if len(text) > t] for t in range(len(texts[0]))]
+    states = ad.lstm(store["src_embed"], steps, lstm_weights(store, "node_lstm"))
+    # Text r's last state is row r of step len(text) - 1 in the step-major stack.
+    starts = np.cumsum([0] + [len(ids) for ids in steps])
+    last = {text: starts[len(text) - 1] + r for r, text in enumerate(texts)}
+    return ad.gather(states, [last[node.text] for node in graph.nodes])
 
 
 def aggregate_direction(

@@ -65,8 +65,8 @@ class GraphToSequenceModel:
             query = query_graph(query, self.config.undirected)
         with no_grad():
             encoded = self.encode_graphs([query])
-        if greedy:
-            ids = greedy_decode(*encoded, self.store, self.config)
-        else:
-            ids = beam_search(*encoded, self.store, self.config, beam_size)
+            if greedy:
+                ids = greedy_decode(*encoded, self.store, self.config)
+            else:
+                ids = beam_search(*encoded, self.store, self.config, beam_size)
         return self.tgt_vocab.words(ids)

@@ -337,31 +337,52 @@ class TestFusedOps:
     def test_lstm_cell_matches_numpy_cell(self, f64):
         rng = np.random.default_rng(7)
         gates, c = rng.normal(size=(4, 12)) * 2, rng.normal(size=(4, 3))
-        h2, c2 = ad.lstm_cell(Tensor(gates), Tensor(c))
+        h2, c2, _ = ad._cell(gates, c)
         i, f, o = (_sig(gates[:, k * 3 : (k + 1) * 3]) for k in range(3))
         want_c = f * c + i * np.tanh(gates[:, 9:])
-        assert np.allclose(c2.data, want_c, rtol=0, atol=1e-12)
-        assert np.allclose(h2.data, o * np.tanh(want_c), rtol=0, atol=1e-12)
+        assert np.allclose(c2, want_c, rtol=0, atol=1e-12)
+        assert np.allclose(h2, o * np.tanh(want_c), rtol=0, atol=1e-12)
 
     def test_lstm_cell_gradients_match_the_unfused_chain(self, f64):
         rng = np.random.default_rng(8)
         gates, c0 = rng.normal(size=(4, 12)) * 2, rng.normal(size=(4, 3))
-        w1, w2 = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(4, 3)))
-
-        def loss(h2, c2):
-            return ad.tsum(ad.mul(h2, w1)) + ad.tsum(ad.mul(ad.tanh(c2), w2))
-
-        fused, c = param(gates), param(c0)
-        h2, c2 = ad.lstm_cell(fused, c)
-        loss(h2, c2).backward()
+        w1, w2 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        # loss = sum(h' * w1) + sum(tanh(c') * w2), so h' and c' both have partials.
+        h2, c2, saved = ad._cell(gates, c0)
+        dgates, dc = ad._cell_backward(w1, w2 * (1.0 - np.tanh(c2) ** 2), saved)
         blocks, c_ref = [param(gates[:, k * 3 : (k + 1) * 3]) for k in range(4)], param(c0)
         h_ref, c2_ref = _unfused_cell(*blocks, c_ref)
-        assert np.allclose(h2.data, h_ref.data, rtol=0, atol=1e-12)
-        assert np.allclose(c2.data, c2_ref.data, rtol=0, atol=1e-12)
-        loss(h_ref, c2_ref).backward()
+        assert np.allclose(h2, h_ref.data, rtol=0, atol=1e-12)
+        assert np.allclose(c2, c2_ref.data, rtol=0, atol=1e-12)
+        (ad.tsum(ad.mul(h_ref, Tensor(w1))) + ad.tsum(ad.mul(ad.tanh(c2_ref), Tensor(w2)))).backward()
         want = np.concatenate([b.grad for b in blocks], axis=1)
-        assert np.allclose(fused.grad, want, rtol=0, atol=1e-12)
-        assert np.allclose(c.grad, c_ref.grad, rtol=0, atol=1e-12)
+        assert np.allclose(dgates, want, rtol=0, atol=1e-12)
+        assert np.allclose(dc, c_ref.grad, rtol=0, atol=1e-12)
+
+    def test_lstm_matches_a_chain_of_steps(self, f64):
+        # The op against its steps built from generic ops, one gate at a time.
+        rng = np.random.default_rng(13)
+        embed, w, b = param(rng.normal(size=(4, EMBED))), rng.normal(size=(EMBED + HD, 4 * HD)), rng.normal(size=4 * HD)
+        weights = param(w), param(b)
+        out = ad.lstm(embed, RAGGED_STEPS, weights)
+        loss_weights = Tensor(rng.normal(size=out.data.shape))
+        ad.tsum(ad.mul(ad.tanh(out), loss_weights)).backward()
+        embed_ref = param(embed.data)
+        w_ref = [param(w[:, k * HD : (k + 1) * HD]) for k in range(4)]
+        b_ref = [param(b[k * HD : (k + 1) * HD]) for k in range(4)]
+        h = c = Tensor(np.zeros((len(RAGGED_STEPS[0]), HD)))
+        states = []
+        for ids in RAGGED_STEPS:
+            first = np.arange(len(ids))
+            z = ad.concat([ad.gather(embed_ref, ids), ad.gather(h, first)])
+            h, c = _unfused_cell(*(ad.affine(z, wk, bk) for wk, bk in zip(w_ref, b_ref)), ad.gather(c, first))
+            states.append(h)
+        ref = ad.concat(states, axis=0)
+        assert np.allclose(out.data, ref.data, rtol=0, atol=1e-12)
+        ad.tsum(ad.mul(ad.tanh(ref), loss_weights)).backward()
+        assert np.allclose(embed.grad, embed_ref.grad, rtol=0, atol=1e-12)
+        assert np.allclose(weights[0].grad, np.concatenate([t.grad for t in w_ref], axis=1), rtol=0, atol=1e-12)
+        assert np.allclose(weights[1].grad, np.concatenate([t.grad for t in b_ref]), rtol=0, atol=1e-12)
 
     def test_attention_matches_numpy(self, f64):
         rng = np.random.default_rng(9)
@@ -406,8 +427,10 @@ class TestFusedOps:
         assert np.allclose(weights.sum(axis=1), 1.0)
 
     def test_shape_mismatches_rejected(self):
-        with pytest.raises(AutodiffError, match="lstm_cell"):
-            ad.lstm_cell(Tensor(np.zeros((2, 8))), Tensor(np.zeros((2, 3))))
+        gates = Tensor(np.zeros((EMBED + HD, 4 * HD))), Tensor(np.zeros(4 * HD))
+        for embed, steps in ((np.zeros((4, EMBED + 1)), [[0]]), (np.zeros((4, EMBED)), [[0], [0, 1]])):
+            with pytest.raises(AutodiffError, match="^lstm shape mismatch"):
+                ad.lstm(Tensor(embed), steps, gates)
         with pytest.raises(AutodiffError, match="attention_lstm"):
             ad.attention_lstm(*decoder_args(lambda shape, k: Tensor(np.zeros(shape)), [[0], [0, 1]]))
 
@@ -507,20 +530,20 @@ def _central_diff(loss_fn, arr, h=1e-6):
 
 MASK = np.array([[True, True, False], [True, False, False], [True, True, True]])
 WEIGHTS = np.array([[0.3, -1.2, 0.8], [1.5, 0.4, -0.7], [-0.2, 0.9, 1.1]])
-SATURATED = np.full((3, 3), 40.0)  # tanh(40) is 1.0 in float64
 
 
-def gates_of(p):
-    """(3, 12) LSTM gate pre-activations, each gate a different map of p."""
-    return ad.concat([p, ad.scale(p, -0.5), ad.tanh(p), ad.scale(p, 1.5)])
+def sigmoid_gates():
+    """The joined gate weight and bias of an LSTM with 3 inputs and 3 units
+    whose gates are its input thrice and a saturated candidate (tanh(40) is
+    1.0 in float64)."""
+    w = np.zeros((6, 12))
+    w[:3, :9] = np.hstack([np.eye(3)] * 3)
+    return Tensor(w), Tensor(np.concatenate([np.zeros(9), np.full(3, 40.0)]))
 
 
-def weighted(t):
-    return ad.tsum(ad.mul(t, Tensor(WEIGHTS)))
-
-
-# A ragged decoder batch: three sequences of 5, 3 and 1 steps (one token
-# repeats within a step) over node slots padded where RAGGED_MASK is False.
+# A ragged batch: three sequences of 5, 3 and 1 steps (one token repeats
+# within a step), for the decoder over node slots padded where RAGGED_MASK
+# is False.
 HD, EMBED, NODE = 2, 2, 3
 RAGGED_STEPS = [[1, 2, 3], [0, 3], [2, 2], [1], [3]]
 RAGGED_SLOTS = np.array([[0, 1, 2], [3, 0, 0], [2, 1, 0]])
@@ -548,6 +571,15 @@ def ragged_decoder_loss(p, h_weight=1.0):
     weights[:, :HD] *= h_weight
     return ad.tsum(ad.mul(ad.tanh(out), Tensor(weights)))
 
+
+def lstm_loss(p, read):
+    # A weighted sum over the rows ``read`` takes from the op's output.
+    embed, w, b = (mixed(p, shape, k) for k, shape in enumerate([(4, EMBED), (EMBED + HD, 4 * HD), (4 * HD,)]))
+    rows = read(ad.lstm(embed, RAGGED_STEPS, (w, b)))
+    weights = np.random.default_rng(12).normal(size=rows.data.shape)
+    return ad.tsum(ad.mul(ad.tanh(rows), Tensor(weights)))
+
+
 OP_CASES = {
     "affine_2d2d": lambda p: ad.tsum(ad.affine(p, p, ad.gather(p, 1))),
     "affine_1d2d": lambda p: ad.tsum(ad.affine(ad.gather(p, 0), p, ad.gather(p, 2))),
@@ -560,20 +592,15 @@ OP_CASES = {
     "scale": lambda p: ad.tsum(ad.scale(p, -2.5)),
     "relu": lambda p: ad.tsum(ad.relu(p)),
     "tanh": lambda p: ad.tsum(ad.tanh(p)),
-    # lstm_cell's input gate alone: with c = 0 and a saturated candidate,
-    # c' is exactly sigmoid(p).
-    "sigmoid": lambda p: ad.tsum(
-        ad.lstm_cell(ad.concat([p, p, p, Tensor(SATURATED)]), ad.zeros((3, 3)))[1]
-    ),
-    "lstm_cell_h": lambda p: weighted(ad.lstm_cell(gates_of(p), ad.zeros((3, 3)))[0]),
-    "lstm_cell_c": lambda p: weighted(ad.lstm_cell(gates_of(p), ad.zeros((3, 3)))[1]),
-    "lstm_cell_both": lambda p: (
-        lambda hc: weighted(hc[0]) + ad.tsum(ad.tanh(hc[1]))
-    )(ad.lstm_cell(gates_of(p), ad.zeros((3, 3)))),
-    # Two steps, so c' feeds the next cell as its state.
-    "lstm_cell_chain": lambda p: (
-        lambda hc: weighted(ad.lstm_cell(gates_of(hc[0]), hc[1])[0])
-    )(ad.lstm_cell(gates_of(p), ad.tanh(p))),
+    # The LSTM's input and output gates alone: one step from zero states
+    # whose gates are p, p, p and a saturated candidate, so c' is exactly
+    # sigmoid(p) and h' is sigmoid(p) * tanh(sigmoid(p)).
+    "sigmoid": lambda p: ad.tsum(ad.lstm(p, [[0, 1, 2]], sigmoid_gates())),
+    # Ragged steps (lengths 5, 3 and 1) with a token repeated within a
+    # step; every input of the op is a different map of p.
+    "lstm_ragged": lambda p: lstm_loss(p, lambda out: out),
+    # Only each row's last state is read, as the encoder does, one of them twice.
+    "lstm_last_rows": lambda p: lstm_loss(p, lambda out: ad.gather(out, [8, 6, 2, 6])),
     # Every input of the decoder op is a different map of p.
     "attention_lstm_ragged": ragged_decoder_loss,
     # Only the contexts are read: h gets its gradient through attention.
@@ -620,9 +647,6 @@ OP_CASES = {
     ),
     "gather_2d_repeated": lambda p: ad.tsum(
         ad.tanh(ad.gather(p, np.array([[0, 2], [2, 2]])))
-    ),
-    "slice_rows": lambda p: (
-        ad.tsum(ad.tanh(ad.slice_rows(p, 1, 3))) + ad.tsum(ad.mul(ad.slice_rows(p, 0, 2), ad.slice_rows(p, 1, 3)))
     ),
     "concat_rows": lambda p: ad.tsum(ad.tanh(ad.concat([p, ad.gather(p, [1])], axis=0))),
     "reshape_broadcast_add": lambda p: ad.tsum(ad.tanh(ad.reshape(p, (3, 1, 3)) + p)),
@@ -727,26 +751,25 @@ def test_forward_values_stay_finite():
     x = Tensor(rng.normal(size=(4, 4)) * 10)
     for op in (ad.relu, ad.tanh):
         assert np.isfinite(op(x).data).all()
-    h, c = ad.lstm_cell(ad.concat([x] * 4), x)
-    assert np.isfinite(h.data).all() and np.isfinite(c.data).all()
+    gates = Tensor(rng.normal(size=(8, 16)) * 10), Tensor(rng.normal(size=16) * 10)
+    assert np.isfinite(ad.lstm(x, [[0, 1, 2, 3], [3, 2, 1, 0]], gates).data).all()
     assert np.isfinite(attend_weights([-1e4, 0.0, 1e4])).all()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_sigmoid_saturates_without_floating_point_errors(dtype):
-    # lstm_cell's gates: with c = 0 and the candidate saturated at +1e4,
+    # The LSTM cell's gates: with c = 0 and the candidate saturated at +1e4,
     # c' is the input gate's sigmoid; backward through both outputs too.
     x = np.array([[-1e4, -50.0, 0.0, 50.0, 1e4]], dtype=dtype)
-    with ad.default_dtype(dtype), np.errstate(all="raise"):
-        gates = param(np.concatenate([x, x, x, np.full_like(x, 1e4)], axis=1))
-        h, c = ad.lstm_cell(gates, ad.zeros(x.shape))
-        (ad.tsum(h) + ad.tsum(c)).backward()
-    out = c.data
-    assert out.dtype == h.data.dtype == gates.grad.dtype == dtype
-    assert ((out >= 0.0) & (out <= 1.0)).all()
-    assert out[0, 0] == 0.0 and out[0, 2] == 0.5 and out[0, -1] == 1.0
-    assert np.isfinite(gates.grad).all()
-    assert (gates.grad[0, [0, 4, 5, 9, 10, 14]] == 0.0).all()  # saturated gates pass no gradient
+    with np.errstate(all="raise"):
+        gates = np.concatenate([x, x, x, np.full_like(x, 1e4)], axis=1)
+        h, c, saved = ad._cell(gates, np.zeros_like(x))
+        dgates, _ = ad._cell_backward(np.ones_like(h), np.ones_like(c), saved)
+    assert c.dtype == h.dtype == dgates.dtype == dtype
+    assert ((c >= 0.0) & (c <= 1.0)).all()
+    assert c[0, 0] == 0.0 and c[0, 2] == 0.5 and c[0, -1] == 1.0
+    assert np.isfinite(dgates).all()
+    assert (dgates[0, [0, 4, 5, 9, 10, 14]] == 0.0).all()  # saturated gates pass no gradient
 
 
 def test_grad_shape_matches_value_shape(f64):

@@ -250,6 +250,22 @@ class TestFlagRanges:
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
+    def test_greedy_with_beam_exits_2_before_loading(self, capsys, monkeypatch, trained):
+        monkeypatch.setattr(cli, "load_checkpoint", _forbidden)
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--checkpoint", str(trained["ckpt"]), "--greedy", "--beam", "3", "SELECT a"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_infinite_lr_exits_2_before_reading_data(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "ingest_dataset", _forbidden)
+        code, _, err = run(
+            capsys, "train", "--train", str(tmp_path / "d.jsonl"), "--out", str(tmp_path / "m.ckpt"), "--lr", "inf",
+        )
+        assert code == 2
+        assert "lr must be finite and positive" in err and "Traceback" not in err
+        assert not (tmp_path / "m.ckpt").exists()
+
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_gradcheck_samples_below_one_exits_2(self, capsys, monkeypatch, samples):
         monkeypatch.setattr(cli, "finite_difference_check", _forbidden)

@@ -53,6 +53,7 @@ INVALID = [
     ("min_freq", 0),
     ("seed", -1),
     ("lr", math.nan),
+    ("lr", math.inf),  # a JSON config holds it as Infinity
     ("undirected", 1),
     ("pretrained_vectors", 5),
 ]

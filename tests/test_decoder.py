@@ -56,7 +56,7 @@ def one(nodes: Tensor, graph_emb: Tensor):
 
 
 def memory_of(nodes: Tensor, store):
-    node_rows, segments, _ = one(nodes, ad.zeros((nodes.data.shape[1],)))
+    node_rows, segments, _ = one(nodes, Tensor(np.zeros((nodes.data.shape[1],))))
     return attention_memory(node_rows.data, segments, [0], store)
 
 
@@ -86,7 +86,7 @@ class TestInitState:
         store = make_store(cfg)
         for name in ("dec_init_h.w", "dec_init_h.b", "dec_init_c.w", "dec_init_c.b"):
             store[name].data = np.zeros_like(store[name].data)
-        state = init_state(ad.zeros((1, NODE_DIM)).data, memory_of(random_nodes(2), store), store, cfg)
+        state = init_state(Tensor(np.zeros((1, NODE_DIM))).data, memory_of(random_nodes(2), store), store, cfg)
         assert np.array_equal(state.h[0], np.zeros(3, dtype=np.float32))
         assert np.array_equal(state.c[0], np.zeros(3, dtype=np.float32))
         assert state.prev.tolist() == [BOS]
@@ -150,7 +150,7 @@ class TestDecodeStep:
         cfg = small_cfg()
         store = make_store(cfg, randomize=6)
         memory = memory_of(random_nodes(3, seed=7), store)
-        state = init_state(ad.zeros((1, NODE_DIM)).data, memory, store, cfg)
+        state = init_state(Tensor(np.zeros((1, NODE_DIM))).data, memory, store, cfg)
         dist, _ = first_distribution(state, memory, store)
         assert dist.shape == (VOCAB,)
         assert abs(float(dist.sum()) - 1.0) < 1e-6
@@ -159,7 +159,7 @@ class TestDecodeStep:
     def test_inference_mode_is_deterministic(self):
         cfg = small_cfg(dropout=0.5)
         store = make_store(cfg, randomize=7)
-        batch = one(random_nodes(3, seed=8), ad.zeros((NODE_DIM,)))
+        batch = one(random_nodes(3, seed=8), Tensor(np.zeros((NODE_DIM,))))
         l1, _ = sequence_loss(*batch, [[4, 5, EOS]], store, cfg)
         l2, _ = sequence_loss(*batch, [[4, 5, EOS]], store, cfg)
         assert np.array_equal(l1.data, l2.data)
@@ -167,7 +167,7 @@ class TestDecodeStep:
     def test_train_mode_applies_dropout(self):
         cfg = small_cfg(dropout=0.5)
         store = make_store(cfg, randomize=7)
-        batch = one(random_nodes(3, seed=8), ad.zeros((NODE_DIM,)))
+        batch = one(random_nodes(3, seed=8), Tensor(np.zeros((NODE_DIM,))))
         rng = np.random.default_rng(0)
         draws = {sequence_loss(*batch, [[4, EOS]], store, cfg, rng=rng)[0].item() for _ in range(4)}
         assert len(draws) > 1

@@ -28,10 +28,13 @@ flattened gradient, numpy's fast 1-D scatter.  So each weight gradient is
 built once per backward, and an embedding's cost does not grow with the
 vocabulary.  ``segment_max`` also scatters its gradient that way.
 
-:meth:`Tensor.backward` consumes the graph it sweeps, freeing each
-activation and intermediate gradient once passed; only leaf gradients
-(parameters, or tensors the user made) remain, and they accumulate
-across ``backward()`` calls until reset.
+:meth:`Tensor.backward` runs reverse mode from any output: it seeds the
+sweep with a cotangent of the output's shape (one, for a scalar, by
+default) and adds its vector-Jacobian product to every leaf's gradient.
+It consumes the graph it sweeps, freeing each activation and
+intermediate gradient once passed; only leaf gradients (parameters, or
+tensors the user made) remain, and they accumulate across
+``backward()`` calls until reset.
 
 Grad mode (:func:`no_grad`) and the default dtype are context variables:
 each thread starts from the defaults and switching them in one thread
@@ -103,21 +106,35 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def backward(self) -> None:
-        """Add to ``grad`` on every reachable leaf with requires_grad, and
-        consume the graph: each non-leaf tensor drops its gradient, backward
-        closure and parents once its own backward has run.
+    def backward(self, grad=None) -> None:
+        """Reverse mode from this tensor: seed the sweep with the cotangent
+        ``grad`` and add its vector-Jacobian product (J^T · grad, J the
+        Jacobian of this tensor in the leaf) to the ``.grad`` of every
+        reachable leaf with requires_grad.  The sweep consumes the graph:
+        each non-leaf tensor drops its gradient, backward closure and
+        parents once its own backward has run.
 
-        The receiver must be a scalar.  A backward that reaches a consumed
-        tensor (a second call on one loss, or a new loss built on a consumed
-        intermediate) raises AutodiffError before any gradient changes.
+        ``grad`` is cast to this tensor's dtype, and its shape must be this
+        tensor's.  Without it the receiver must be a scalar, and the seed
+        is one.  A wrong-shaped cotangent, or a backward that reaches a
+        consumed tensor (a second call on one output, or a new one built on
+        a consumed intermediate), raises AutodiffError before any gradient
+        changes.
         """
-        if self.data.size != 1:
-            raise AutodiffError(
-                f"backward requires a scalar loss, got shape {self.data.shape}"
-            )
+        if grad is None:
+            if self.data.size != 1:
+                raise AutodiffError(
+                    f"backward without a cotangent requires a scalar, got shape {self.data.shape}"
+                )
+            seed = np.ones_like(self.data)
+        else:
+            seed = np.asarray(grad, dtype=self.data.dtype)
+            if seed.shape != self.data.shape:
+                raise AutodiffError(
+                    f"cotangent shape {seed.shape} does not match output shape {self.data.shape}"
+                )
         order = _toposort(self)
-        _accumulate(self, np.ones_like(self.data))
+        _accumulate(self, seed)
         while order:
             node = order.pop()  # so the list no longer pins the node
             # Every consumer of node has run, so its deferred terms are final.
@@ -133,16 +150,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
 
 
 def _consumed(g) -> None:
@@ -240,55 +247,6 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     return out
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
-
-
-def add(a, b) -> Tensor:
-    """Sum of two tensors under numpy broadcasting."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        out = a.data + b.data
-    except ValueError:
-        raise AutodiffError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}") from None
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
-
-    return _result(out, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of same-shape tensors."""
-    if a.data.shape != b.data.shape:
-        raise AutodiffError(f"mul shape mismatch: {a.data.shape} vs {b.data.shape}")
-
-    def backward(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
-
-    return _result(a.data * b.data, (a, b), backward)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    def backward(g):
-        _accumulate(a, g * s)
-
-    return _result(a.data * s, (a,), backward)
-
-
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for x of shape (..., p), w (p, q) and b (q,), as one op;
     the weight gradient is deferred to one GEMM (see ``_defer_outer``)."""
@@ -304,8 +262,10 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             _accumulate(x, g @ w.data.T)
         if w.requires_grad:
             _defer_outer(w, x.data, g)
-        # The same axis-0 sums as add's, so bias gradients keep their bits.
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        # The bias gradient sums g over its leading axes, one axis-0 sum each.
+        while g.ndim > 1:
+            g = g.sum(axis=0)
+        _accumulate(b, g)
 
     return _result(out, (x, w, b), backward)
 
@@ -357,13 +317,6 @@ def gather(m: Tensor, index) -> Tensor:
     return _result(out, (m,), backward)
 
 
-def reshape(a: Tensor, shape: tuple) -> Tensor:
-    def backward(g):
-        _accumulate(a, g.reshape(a.data.shape))
-
-    return _result(a.data.reshape(shape), (a,), backward)
-
-
 def segment_max(m: Tensor, index: np.ndarray, valid: np.ndarray) -> Tensor:
     """Row r is the coordinatewise max of m[index[r, k]] over the k with
     valid[r, k], or zero if there is none; index and valid are (s, j >= 1)
@@ -396,14 +349,6 @@ def segment_max(m: Tensor, index: np.ndarray, valid: np.ndarray) -> Tensor:
         _accumulate(m, gm.reshape(m.data.shape))
 
     return _result(out, (m,), backward)
-
-
-def tsum(a: Tensor) -> Tensor:
-    """Sum all elements to a scalar."""
-    def backward(g):
-        _accumulate(a, np.broadcast_to(g, a.data.shape))
-
-    return _result(np.asarray(a.data.sum(), dtype=a.data.dtype), (a,), backward)
 
 
 def _cell(gates: np.ndarray, c: np.ndarray) -> tuple:

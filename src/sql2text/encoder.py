@@ -59,9 +59,7 @@ def padded_index(groups: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarra
     return index, valid
 
 
-def init_node_features(
-    graph: QueryGraph, vocab: Vocabulary, store: ParameterStore, cfg: TrainConfig
-) -> Tensor:
+def init_node_features(graph: QueryGraph, vocab: Vocabulary, store: ParameterStore) -> Tensor:
     """(N, d) initial features: per node, the final hidden state of the
     shared recurrent encoder run over the node's token embeddings.  One
     ``ad.lstm`` op runs it over the distinct texts as rows, longest first,
@@ -123,7 +121,7 @@ def encode(
     union = disjoint_union(graphs)
     ends = np.cumsum([len(graph.nodes) for graph in graphs])
     segments = padded_index([range(end - len(g.nodes), end) for g, end in zip(graphs, ends)])
-    node_rows = propagate(union, init_node_features(union, vocab, store, cfg), store, cfg)
+    node_rows = propagate(union, init_node_features(union, vocab, store), store, cfg)
     if cfg.ge_method == "supernode":
         graph_emb = ad.gather(node_rows, ends - 1)  # each super node is appended last
     else:

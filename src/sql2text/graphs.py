@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .parser import _PLACEHOLDER_RE, BoolOp, Condition, LogicExpr, SqlQuery, _escape
 
@@ -41,12 +40,6 @@ class QueryGraph:
             fwd[src].append(dst)
             bwd[dst].append(src)
         return fwd, bwd
-
-    def node_of_kind(self, kind: str) -> Optional[GraphNode]:
-        for node in self.nodes:
-            if node.kind == kind:
-                return node
-        return None
 
 
 class _GraphBuilder:

@@ -105,15 +105,14 @@ def train(
                 [pair.target for pair in batch],
                 rng=dropout_rng,
             )
-            batch_loss = total * (1.0 / tokens)
-            value = batch_loss.item()
+            value = float(total.data * (1.0 / tokens))
             if not math.isfinite(value):
                 raise TrainingDivergedError(
                     f"non-finite loss {value} at epoch {epoch}, batch {start // config.batch_size}"
                 )
             epoch_nll += value * tokens
             epoch_tokens += tokens
-            batch_loss.backward()
+            total.backward(1.0 / tokens)  # the gradient of the token-mean loss
             norm = clip_gradients(model.store, config.clip_norm)
             batch_logs.append(BatchLog(epoch, norm, clip_engages(norm, config.clip_norm)))
             norms.append(norm)

@@ -246,7 +246,7 @@ def test_criterion_06_hop_locality():
             ],
             edges=[(0, 1), (1, 2), (2, 3)],
         )
-        feats = init_node_features(graph, vocab, store, cfg)
+        feats = init_node_features(graph, vocab, store)
         return propagate(graph, feats, store, cfg).data[0]
 
     assert np.array_equal(far_endpoint("original"), far_endpoint("mutated"))

@@ -26,6 +26,17 @@ def param(values):
     return Tensor(np.asarray(values), requires_grad=True)
 
 
+def sum_backward(out):
+    """Backward of the sum of out's entries: a cotangent of ones."""
+    out.backward(np.ones_like(out.data))
+
+
+def square(p):
+    """p² for a one-entry p: p times the (1, 1) matrix gathered from p,
+    so p's gradient arrives twice, as a product and as a deferred pair."""
+    return ad.affine(p, ad.gather(p, [[0]]), Tensor([0.0]))
+
+
 class TestAffine:
     def test_identity_weights(self):
         out = ad.affine(param([[1.0, 2.0]]), param(np.eye(2)), param([0.0, 0.0]))
@@ -52,7 +63,7 @@ class TestAffine:
         x = param([[1.0, 2.0], [3.0, 4.0]])
         w = param([[0.5, -1.0], [2.0, 0.25]])
         b = param([0.1, 0.2])
-        ad.tsum(ad.affine(x, w, b)).backward()
+        sum_backward(ad.affine(x, w, b))
         # d sum(xW+b)/dW[k][j] = sum_i x[i][k]
         assert np.allclose(w.grad, np.outer(x.data.sum(axis=0), [1.0, 1.0]))
         assert np.allclose(b.grad, [2.0, 2.0])
@@ -88,7 +99,7 @@ class TestMaxReduce:
 
     def test_gradient_to_lowest_argmax_on_tie(self, f64):
         rows = param([[1.0, 2.0], [1.0, 0.0]])
-        ad.tsum(self.max_over_rows(rows)).backward()
+        sum_backward(self.max_over_rows(rows))
         assert np.allclose(rows.grad[0], [1.0, 1.0])
         assert np.allclose(rows.grad[1], [0.0, 0.0])
 
@@ -111,7 +122,7 @@ class TestMaxReduce:
         valid = np.array([[True, True, False], [True, True, True], [False, False, False]])
         out = ad.segment_max(m, index, valid)
         assert np.array_equal(out.data, [[1.0, 4.0], [3.0, 0.5], [0.0, 0.0]])
-        ad.tsum(out).backward()
+        sum_backward(out)
         # Row 1 repeats m[1] twice: its gradient is counted once.
         assert np.array_equal(m.grad, [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -215,7 +226,7 @@ class TestKernelsMatchReferenceBitwise:
                 out = fn(m, index, valid)
                 with ad.no_grad():
                     plain = fn(Tensor(m0), index, valid)
-                ad.tsum(ad.mul(out, Tensor(upstream))).backward()
+                out.backward(upstream)
                 results.append((out.data, plain.data, m.grad))
         for got, want in zip(*results):
             assert got.dtype == want.dtype == dtype
@@ -227,23 +238,24 @@ class TestKernelsMatchReferenceBitwise:
         rng = np.random.default_rng(4)
         m0 = np.asarray(rng.normal(size=(6, 5)), order=order)
         indices = [np.array([1, 1, 4, 1, 0, 4]), np.array([[3, 1], [1, 1], [5, 3]]), np.array(1)]
-        weights = [rng.normal(size=np.shape(i) + (5,)) for i in indices]
+        upstream = rng.normal(size=(19, 5))
         grads = []
         for flush in (ad._flush, reference_flush):
             monkeypatch.setattr(ad, "_flush", flush)
             with ad.default_dtype(dtype):
                 m = Tensor(m0, requires_grad=True)
-                # m's own product term reaches its gradient before the scatter.
-                terms = [ad.mul(m, Tensor(np.full(m0.shape, 0.5)))]
-                terms += [ad.mul(ad.gather(m, i), Tensor(w)) for i, w in zip(indices, weights)]
-                ad.tsum(ad.concat([ad.reshape(t, (-1,)) for t in terms], axis=0)).backward()
+                vector, matrix, scalar = (ad.gather(m, i) for i in indices)
+                # m's own tanh term reaches its gradient before the scatter;
+                # the three lookups of m, one index shape each, are rows of one output.
+                rows = [ad.tanh(m), vector, *(ad.gather(matrix, k) for k in range(3)), row(scalar)]
+                ad.concat(rows, axis=0).backward(upstream)
                 grads.append(m.grad)
         assert grads[0].dtype == grads[1].dtype == dtype
         assert np.array_equal(grads[0], grads[1])
 
     def test_vector_gather_scatter(self):
         v = param(np.arange(5.0))
-        ad.tsum(ad.gather(v, [3, 0, 3, 3])).backward()
+        sum_backward(ad.gather(v, [3, 0, 3, 3]))
         assert np.array_equal(v.grad, [1.0, 0.0, 0.0, 3.0, 0.0])
 
 
@@ -324,13 +336,11 @@ def _sig(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _unfused_cell(i, f, o, cand, c):
-    # The cell as a chain of elementwise ops, sigmoid as (1 + tanh(x/2)) / 2.
-    def sigmoid(t):
-        return ad.scale(ad.tanh(ad.scale(t, 0.5)), 0.5) + Tensor(np.full(t.data.shape, 0.5))
-
-    c2 = ad.mul(sigmoid(f), c) + ad.mul(sigmoid(i), ad.tanh(cand))
-    return ad.mul(sigmoid(o), ad.tanh(c2)), c2
+def _unfused_cell(gates, c):
+    # The cell one gate at a time in numpy, with the textbook sigmoid.
+    i, f, o, cand = np.split(gates, 4, axis=-1)
+    c2 = _sig(f) * c + _sig(i) * np.tanh(cand)
+    return _sig(o) * np.tanh(c2), c2
 
 
 class TestFusedOps:
@@ -350,39 +360,40 @@ class TestFusedOps:
         # loss = sum(h' * w1) + sum(tanh(c') * w2), so h' and c' both have partials.
         h2, c2, saved = ad._cell(gates, c0)
         dgates, dc = ad._cell_backward(w1, w2 * (1.0 - np.tanh(c2) ** 2), saved)
-        blocks, c_ref = [param(gates[:, k * 3 : (k + 1) * 3]) for k in range(4)], param(c0)
-        h_ref, c2_ref = _unfused_cell(*blocks, c_ref)
-        assert np.allclose(h2, h_ref.data, rtol=0, atol=1e-12)
-        assert np.allclose(c2, c2_ref.data, rtol=0, atol=1e-12)
-        (ad.tsum(ad.mul(h_ref, Tensor(w1))) + ad.tsum(ad.mul(ad.tanh(c2_ref), Tensor(w2)))).backward()
-        want = np.concatenate([b.grad for b in blocks], axis=1)
-        assert np.allclose(dgates, want, rtol=0, atol=1e-12)
-        assert np.allclose(dc, c_ref.grad, rtol=0, atol=1e-12)
+        h_ref, c2_ref = _unfused_cell(gates, c0)
+        assert np.allclose(h2, h_ref, rtol=0, atol=1e-12)
+        assert np.allclose(c2, c2_ref, rtol=0, atol=1e-12)
+
+        def loss():
+            h, c = _unfused_cell(gates, c0)
+            return np.vdot(h, w1) + np.vdot(np.tanh(c), w2)
+
+        assert np.allclose(dgates, _central_diff(loss, gates), rtol=0, atol=1e-8)
+        assert np.allclose(dc, _central_diff(loss, c0), rtol=0, atol=1e-8)
 
     def test_lstm_matches_a_chain_of_steps(self, f64):
-        # The op against its steps built from generic ops, one gate at a time.
+        # The op against its steps in numpy, one gate at a time: the values,
+        # and the op's VJP against central differences of the steps.
         rng = np.random.default_rng(13)
-        embed, w, b = param(rng.normal(size=(4, EMBED))), rng.normal(size=(EMBED + HD, 4 * HD)), rng.normal(size=4 * HD)
-        weights = param(w), param(b)
-        out = ad.lstm(embed, RAGGED_STEPS, weights)
-        loss_weights = Tensor(rng.normal(size=out.data.shape))
-        ad.tsum(ad.mul(ad.tanh(out), loss_weights)).backward()
-        embed_ref = param(embed.data)
-        w_ref = [param(w[:, k * HD : (k + 1) * HD]) for k in range(4)]
-        b_ref = [param(b[k * HD : (k + 1) * HD]) for k in range(4)]
-        h = c = Tensor(np.zeros((len(RAGGED_STEPS[0]), HD)))
-        states = []
-        for ids in RAGGED_STEPS:
-            first = np.arange(len(ids))
-            z = ad.concat([ad.gather(embed_ref, ids), ad.gather(h, first)])
-            h, c = _unfused_cell(*(ad.affine(z, wk, bk) for wk, bk in zip(w_ref, b_ref)), ad.gather(c, first))
-            states.append(h)
-        ref = ad.concat(states, axis=0)
-        assert np.allclose(out.data, ref.data, rtol=0, atol=1e-12)
-        ad.tsum(ad.mul(ad.tanh(ref), loss_weights)).backward()
-        assert np.allclose(embed.grad, embed_ref.grad, rtol=0, atol=1e-12)
-        assert np.allclose(weights[0].grad, np.concatenate([t.grad for t in w_ref], axis=1), rtol=0, atol=1e-12)
-        assert np.allclose(weights[1].grad, np.concatenate([t.grad for t in b_ref]), rtol=0, atol=1e-12)
+        arrays = rng.normal(size=(4, EMBED)), rng.normal(size=(EMBED + HD, 4 * HD)), rng.normal(size=4 * HD)
+        embed, w, b = arrays
+
+        def steps():
+            h = c = np.zeros((len(RAGGED_STEPS[0]), HD))
+            states = []
+            for ids in RAGGED_STEPS:
+                z = np.concatenate([embed[ids], h[: len(ids)]], axis=1)
+                h, c = _unfused_cell(z @ w + b, c[: len(ids)])
+                states.append(h)
+            return np.concatenate(states)
+
+        params = [param(a.copy()) for a in arrays]
+        out = ad.lstm(params[0], RAGGED_STEPS, params[1:])
+        assert np.allclose(out.data, steps(), rtol=0, atol=1e-12)
+        cot = rng.normal(size=out.data.shape)
+        out.backward(cot)
+        for t, a in zip(params, arrays):
+            assert np.allclose(t.grad, _central_diff(lambda: np.vdot(cot, steps()), a), rtol=0, atol=1e-8)
 
     def test_attention_matches_numpy(self, f64):
         rng = np.random.default_rng(9)
@@ -408,7 +419,7 @@ class TestFusedOps:
         _, attn, _ = ad.additive_attention(h.data, [t.data for t in weights], *memory)
         assert (attn[~MASK] == 0.0).all()
         assert np.allclose(attn.sum(axis=1), 1.0, rtol=0, atol=1e-15)
-        ad.tsum(ad.tanh(ad.attention_lstm(*args))).backward()
+        sum_backward(ad.tanh(ad.attention_lstm(*args)))
         assert np.abs(node_rows.grad[:3]).min() > 0.0
         assert (node_rows.grad[3] == 0.0).all()
 
@@ -420,7 +431,7 @@ class TestFusedOps:
             weights = ad.masked_softmax(scores, MASK)
             args = decoder_args(lambda shape, k: param(rng.normal(size=shape)))
             args[4][4].data *= 1e3  # attn_v: scores in the thousands
-            ad.tsum(ad.attention_lstm(*args)).backward()
+            sum_backward(ad.attention_lstm(*args))
         assert weights.dtype == dtype
         assert all(np.isfinite(t.grad).all() for t in [args[0], *args[2:4], *args[4], args[5]])
         assert np.allclose(weights, [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
@@ -439,13 +450,13 @@ class TestBackward:
     def test_sum_of_linear_map(self, f64):
         x = Tensor([[1.0, 2.0], [3.0, 4.0]])
         w = param([[1.0, 1.0], [1.0, 1.0]])
-        ad.tsum(ad.affine(x, w, Tensor([0.0, 0.0]))).backward()
+        sum_backward(ad.affine(x, w, Tensor([0.0, 0.0])))
         assert np.allclose(w.grad, np.outer(x.data.sum(axis=0), [1.0, 1.0]))
 
     def test_unused_parameter_has_no_gradient(self, f64):
         used = param([2.0])
         unused = param([5.0])
-        ad.tsum(ad.mul(used, used)).backward()
+        square(used).backward()
         assert np.allclose(used.grad, [4.0])
         assert unused.grad is None  # semantically all zeros
 
@@ -458,17 +469,58 @@ class TestBackward:
         with pytest.raises(AutodiffError):
             Tensor([1.0, 2.0]).backward()
 
+    def test_non_scalar_output_needs_a_cotangent(self, f64):
+        p = param([0.5, -1.0])
+        out = ad.tanh(p)
+        with pytest.raises(AutodiffError, match="scalar"):
+            out.backward()
+        assert p.grad is None
+        out.backward([2.0, 3.0])
+        assert np.array_equal(p.grad, [2.0, 3.0] * (1.0 - np.tanh(p.data) ** 2))
+
+    def test_cotangent_accumulates_its_vjp_into_the_leaves(self, f64):
+        rng = np.random.default_rng(14)
+        x, w, b = param(rng.normal(size=(2, 3))), param(rng.normal(size=(3, 4))), param(rng.normal(size=4))
+        cot = rng.normal(size=(2, 4))
+        for calls in (1, 2):
+            ad.affine(x, w, b).backward(cot)
+            # J^T · cot of x @ w + b, once per call.
+            assert np.allclose(x.grad, calls * cot @ w.data.T, rtol=1e-12, atol=0)
+            assert np.allclose(w.grad, calls * x.data.T @ cot, rtol=1e-12, atol=0)
+            assert np.allclose(b.grad, calls * cot.sum(axis=0), rtol=1e-12, atol=0)
+
+    def test_cotangent_is_cast_to_the_output_dtype(self):
+        p = param([0.5, -1.0])
+        ad.relu(p).backward(np.array([0.1, 0.2], dtype=np.float64))
+        assert p.grad.dtype == np.float32
+        assert np.array_equal(p.grad, np.array([0.1, 0.0], dtype=np.float32))
+
+    @pytest.mark.parametrize(
+        "cot", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], 1.0], ids=["short", "long", "extra_axis", "scalar"]
+    )
+    def test_wrong_shaped_cotangent_raises_before_any_gradient_changes(self, cot, f64):
+        p = param([0.5, -1.0])
+        ad.tanh(p).backward([1.0, 1.0])
+        first = p.grad.copy()
+        out = ad.tanh(p)
+        with pytest.raises(AutodiffError, match="cotangent shape"):
+            out.backward(cot)
+        assert np.array_equal(p.grad, first)
+        out.backward([1.0, 1.0])  # the graph is intact
+        assert np.array_equal(p.grad, 2 * first)
+
     def test_repeated_backward_accumulates(self, f64):
         p = param([3.0])
-        ad.tsum(ad.mul(p, p)).backward()
+        square(p).backward()
         first = p.grad.copy()
-        ad.tsum(ad.mul(p, p)).backward()
+        square(p).backward()
         assert np.allclose(p.grad, 2 * first)
 
     def test_backward_frees_intermediate_activations(self, f64):
         p = param([[0.5, -1.0]])
         h = ad.tanh(ad.affine(p, param(np.ones((2, 3))), param(np.zeros(3))))
-        loss = ad.tsum(ad.mul(h, h))
+        # The output's backward holds h.data, as its input, until the sweep passes.
+        loss = ad.affine(h, param(np.ones((3, 1))), param(np.zeros(1)))
         activation = weakref.ref(h.data)
         del h
         loss.backward()
@@ -477,16 +529,16 @@ class TestBackward:
 
     def test_leaf_gradients_survive_and_intermediate_ones_drop(self, f64):
         p = param([3.0])
-        h = ad.mul(p, p)
-        ad.tsum(h).backward()
+        h = square(p)
+        h.backward()
         assert h.grad is None
         assert np.array_equal(p.grad, [6.0])
-        ad.tsum(ad.mul(p, p)).backward()
+        square(p).backward()
         assert np.array_equal(p.grad, [12.0])
 
     def test_second_backward_on_the_same_root_raises(self, f64):
         p = param([3.0])
-        loss = ad.tsum(ad.mul(p, p))
+        loss = square(p)
         loss.backward()
         with pytest.raises(AutodiffError, match="consumed"):
             loss.backward()
@@ -495,24 +547,24 @@ class TestBackward:
     def test_backward_through_a_consumed_intermediate_raises(self, f64):
         p = param([3.0])
         h = ad.tanh(p)
-        ad.tsum(h).backward()
+        h.backward()
         first = p.grad.copy()
         with pytest.raises(AutodiffError, match="consumed"):
-            ad.tsum(ad.mul(h, ad.scale(p, 2.0))).backward()
+            ad.concat([h, ad.tanh(p)]).backward([1.0, 2.0])
         assert np.array_equal(p.grad, first)
 
     def test_diamond_graph(self, f64):
         p = param([1.5])
-        (ad.tsum(p + p)).backward()
-        assert np.allclose(p.grad, [2.0])
+        sum_backward(ad.concat([p, p]))
+        assert np.array_equal(p.grad, [2.0])
 
     def test_deep_chain_beyond_recursion_limit(self, f64):
         p = param([1.0])
         t = p
         for _ in range(5000):
-            t = t + Tensor([0.0])
-        ad.tsum(t).backward()
-        assert np.allclose(p.grad, [1.0])
+            t = ad.gather(t, [0])
+        t.backward([1.0])
+        assert np.array_equal(p.grad, [1.0])
 
 
 def _central_diff(loss_fn, arr, h=1e-6):
@@ -529,7 +581,6 @@ def _central_diff(loss_fn, arr, h=1e-6):
 
 
 MASK = np.array([[True, True, False], [True, False, False], [True, True, True]])
-WEIGHTS = np.array([[0.3, -1.2, 0.8], [1.5, 0.4, -0.7], [-0.2, 0.9, 1.1]])
 
 
 def sigmoid_gates():
@@ -559,119 +610,114 @@ def decoder_args(make, steps=RAGGED_STEPS, slots=RAGGED_SLOTS, mask=RAGGED_MASK)
 
 
 def mixed(p, shape, key):
-    """A tensor of the given shape that is a fixed random linear map of p."""
+    """A tensor of the given shape that is a fixed random linear map of p:
+    an affine map of p's joined rows, shaped by a gather."""
     r = np.random.default_rng(key).normal(size=(p.data.size, math.prod(shape))) / 3
-    return ad.reshape(ad.affine(ad.reshape(p, (1, p.data.size)), Tensor(r), Tensor(np.zeros(r.shape[1]))), shape)
+    flat = ad.concat([ad.gather(p, i) for i in range(len(p.data))])
+    return ad.gather(ad.affine(flat, Tensor(r), Tensor(np.zeros(r.shape[1]))), np.arange(r.shape[1]).reshape(shape))
 
 
-def ragged_decoder_loss(p, h_weight=1.0):
-    # A weighted sum over the op's [h | context] rows, h scaled by h_weight.
-    out = ad.attention_lstm(*decoder_args(lambda shape, k: mixed(p, shape, k)))
-    weights = np.random.default_rng(11).normal(size=out.data.shape)
-    weights[:, :HD] *= h_weight
-    return ad.tsum(ad.mul(ad.tanh(out), Tensor(weights)))
+def ragged_decoder(p):
+    # Every input of the decoder op is a different map of p.
+    return ad.attention_lstm(*decoder_args(lambda shape, k: mixed(p, shape, k)))
 
 
-def lstm_loss(p, read):
-    # A weighted sum over the rows ``read`` takes from the op's output.
+def ragged_lstm(p):
+    # Ragged steps (lengths 5, 3 and 1) with a token repeated within a
+    # step; every input of the op is a different map of p.
     embed, w, b = (mixed(p, shape, k) for k, shape in enumerate([(4, EMBED), (EMBED + HD, 4 * HD), (4 * HD,)]))
-    rows = read(ad.lstm(embed, RAGGED_STEPS, (w, b)))
-    weights = np.random.default_rng(12).normal(size=rows.data.shape)
-    return ad.tsum(ad.mul(ad.tanh(rows), Tensor(weights)))
+    return ad.lstm(embed, RAGGED_STEPS, (w, b))
 
 
+def row(v):
+    """A vector as a (1, n) matrix: a gather from it with a 2-D index."""
+    return ad.gather(v, np.arange(len(v.data))[None, :])
+
+
+# Each row maps the (3, 3) matrix p to an op's output, whose VJP the tests
+# check.
 OP_CASES = {
-    "affine_2d2d": lambda p: ad.tsum(ad.affine(p, p, ad.gather(p, 1))),
-    "affine_1d2d": lambda p: ad.tsum(ad.affine(ad.gather(p, 0), p, ad.gather(p, 2))),
+    "affine_2d2d": lambda p: ad.affine(p, p, ad.gather(p, 1)),
+    "affine_1d2d": lambda p: ad.affine(ad.gather(p, 0), p, ad.gather(p, 2)),
     # A (b, n, p) input: the bias gradient sums over both leading axes.
-    "affine_3d_nonleaf_weight": lambda p: ad.tsum(
-        ad.tanh(ad.affine(ad.reshape(ad.tanh(p), (3, 1, 3)), ad.scale(p, 0.5), ad.gather(p, 0)))
+    "affine_3d_nonleaf_weight": lambda p: ad.tanh(
+        ad.affine(ad.gather(ad.tanh(p), [[0], [1], [2]]), ad.gather(p, [1, 2, 0]), ad.gather(p, 0))
     ),
-    "add_broadcast": lambda p: ad.tsum(p + ad.gather(p, 0)),
-    "mul": lambda p: ad.tsum(ad.mul(p, p)),
-    "scale": lambda p: ad.tsum(ad.scale(p, -2.5)),
-    "relu": lambda p: ad.tsum(ad.relu(p)),
-    "tanh": lambda p: ad.tsum(ad.tanh(p)),
+    "relu": ad.relu,
+    "tanh": ad.tanh,
     # The LSTM's input and output gates alone: one step from zero states
     # whose gates are p, p, p and a saturated candidate, so c' is exactly
     # sigmoid(p) and h' is sigmoid(p) * tanh(sigmoid(p)).
-    "sigmoid": lambda p: ad.tsum(ad.lstm(p, [[0, 1, 2]], sigmoid_gates())),
-    # Ragged steps (lengths 5, 3 and 1) with a token repeated within a
-    # step; every input of the op is a different map of p.
-    "lstm_ragged": lambda p: lstm_loss(p, lambda out: out),
+    "sigmoid": lambda p: ad.lstm(p, [[0, 1, 2]], sigmoid_gates()),
+    "lstm_ragged": ragged_lstm,
     # Only each row's last state is read, as the encoder does, one of them twice.
-    "lstm_last_rows": lambda p: lstm_loss(p, lambda out: ad.gather(out, [8, 6, 2, 6])),
-    # Every input of the decoder op is a different map of p.
-    "attention_lstm_ragged": ragged_decoder_loss,
-    # Only the contexts are read: h gets its gradient through attention.
-    "attention_lstm_context": lambda p: ragged_decoder_loss(p, h_weight=0.0),
-    "concat": lambda p: ad.tsum(ad.concat([ad.gather(p, 0), ad.gather(p, 2)])),
-    "stack_max": lambda p: ad.tsum(
-        ad.segment_max(
-            ad.concat([ad.gather(p, [i]) for i in range(3)], axis=0),
-            np.array([[0, 1, 2]]),
-            np.ones((1, 3), dtype=bool),
-        )
+    "lstm_last_rows": lambda p: ad.gather(ragged_lstm(p), [8, 6, 2, 6]),
+    "attention_lstm_ragged": ragged_decoder,
+    # Only the contexts are read, through a column-selecting map: h gets
+    # its gradient through attention.
+    "attention_lstm_context": lambda p: ad.affine(
+        ragged_decoder(p), Tensor(np.eye(HD + NODE)[:, HD:]), Tensor(np.zeros(NODE))
+    ),
+    "concat": lambda p: ad.concat([ad.gather(p, 0), ad.gather(p, 2)]),
+    "stack_max": lambda p: ad.segment_max(
+        ad.concat([ad.gather(p, [i]) for i in range(3)], axis=0),
+        np.array([[0, 1, 2]]),
+        np.ones((1, 3), dtype=bool),
     ),
     # p receives deferred outer products from vector and matrix products.
-    "affine_shared_weight": lambda p: (
-        ad.tsum(
-            ad.tanh(ad.affine(ad.gather(p, 0), p, ad.gather(p, 1)))
-            + ad.affine(ad.gather(p, 2), p, ad.gather(p, 0))
-        )
-        + ad.tsum(ad.affine(ad.tanh(p), p, ad.gather(p, 2)))
-    ),
+    "affine_shared_weight": lambda p: ad.concat([
+        row(ad.tanh(ad.affine(ad.gather(p, 0), p, ad.gather(p, 1)))),
+        row(ad.affine(ad.gather(p, 2), p, ad.gather(p, 0))),
+        ad.affine(ad.tanh(p), p, ad.gather(p, 2)),
+    ], axis=0),
     # Non-leaf matrices receive deferred pairs, then backpropagate them.
-    "nonleaf_pairs": lambda p: (
-        ad.tsum(ad.tanh(ad.affine(
-            ad.tanh(ad.scale(p, -1.5)), ad.tanh(p), ad.gather(p, 0)
-        )))
-        + ad.tsum(ad.tanh(ad.affine(
-            ad.gather(p, [2, 0]), ad.reshape(ad.gather(p, 0), (3, 1)), ad.gather(ad.gather(p, 1), [2])
-        )))
-    ),
-    "row_repeated_index": lambda p: ad.tsum(
-        ad.mul(ad.gather(p, 1), ad.gather(p, 1)) + ad.gather(p, 1)
-    ),
+    "nonleaf_pairs": lambda p: ad.concat([
+        ad.tanh(ad.affine(ad.tanh(ad.gather(p, [2, 1, 0])), ad.tanh(p), ad.gather(p, 0))),
+        ad.gather(ad.tanh(ad.affine(
+            ad.gather(p, [2, 0]), ad.gather(ad.gather(p, 0), [[0], [1], [2]]), ad.gather(ad.gather(p, 1), [2])
+        )), [0, 1, 1]),
+    ]),
+    "row_repeated_index": lambda p: ad.concat([ad.gather(p, 1), ad.tanh(ad.gather(p, 1)), ad.gather(p, 1)]),
     # Row 0 repeats row 1 (a tie the gradient must count once), row 1 is
     # padding only and row 2 mixes real and padded entries.
-    "segment_max_empty_and_tie": lambda p: ad.tsum(
-        ad.mul(
-            ad.segment_max(
-                ad.tanh(p),
-                np.array([[1, 1, 2], [0, 0, 0], [2, 0, 0]]),
-                np.array([[True, True, True], [False, False, False], [True, True, False]]),
-            ),
-            Tensor(WEIGHTS),
-        )
+    "segment_max_empty_and_tie": lambda p: ad.segment_max(
+        ad.tanh(p),
+        np.array([[1, 1, 2], [0, 0, 0], [2, 0, 0]]),
+        np.array([[True, True, True], [False, False, False], [True, True, False]]),
     ),
-    "gather_2d_repeated": lambda p: ad.tsum(
-        ad.tanh(ad.gather(p, np.array([[0, 2], [2, 2]])))
-    ),
-    "concat_rows": lambda p: ad.tsum(ad.tanh(ad.concat([p, ad.gather(p, [1])], axis=0))),
-    "reshape_broadcast_add": lambda p: ad.tsum(ad.tanh(ad.reshape(p, (3, 1, 3)) + p)),
+    "gather_2d_repeated": lambda p: ad.tanh(ad.gather(p, np.array([[0, 2], [2, 2]]))),
+    "concat_rows": lambda p: ad.tanh(ad.concat([p, ad.gather(p, [1])], axis=0)),
     "cross_entropy": lambda p: ad.cross_entropy(ad.tanh(p), [2, 0, 2]),
+    # A fresh generator on each call, so every call drops the same entries.
+    "dropout": lambda p: ad.dropout(p, 0.4, np.random.default_rng(1)),
 }
+
+
+def op_case(name):
+    """(p, output, cotangent) of a row, p and the cotangent drawn from a
+    generator seeded by the row's name; p stays away from ReLU kinks and
+    max-pool ties."""
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    p = param(rng.normal(size=(3, 3)) + 0.1)
+    out = OP_CASES[name](p)
+    return p, out, rng.normal(size=out.data.shape)
 
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))
 def test_op_gradients_match_finite_differences(name, f64):
-    # Inputs chosen away from ReLU kinks and max-pool ties.
-    rng = np.random.default_rng(zlib.crc32(name.encode()))
-    p = param(rng.normal(size=(3, 3)) + 0.1)
-    loss = OP_CASES[name](p)
-    loss.backward()
-    fd = _central_diff(lambda: float(OP_CASES[name](p).data), p.data)
+    # The VJP against central differences of vdot(cot, f(p)).
+    p, out, cot = op_case(name)
+    out.backward(cot)
+    fd = _central_diff(lambda: float(np.vdot(cot, OP_CASES[name](p).data)), p.data)
     assert np.allclose(p.grad, fd, atol=1e-6), f"{name}: {p.grad} vs {fd}"
 
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))
 def test_op_gradients_accumulate_over_backward_calls(name, f64):
-    rng = np.random.default_rng(zlib.crc32(name.encode()))
-    p = param(rng.normal(size=(3, 3)) + 0.1)
-    OP_CASES[name](p).backward()
+    p, out, cot = op_case(name)
+    out.backward(cot)
     first = p.grad.copy()
-    OP_CASES[name](p).backward()
+    OP_CASES[name](p).backward(cot)
     assert np.allclose(p.grad, 2 * first, rtol=1e-12, atol=0)
 
 
@@ -683,18 +729,17 @@ class TestDeferredGradients:
         cs = [rng.normal(size=3) for _ in range(3)]
         m, cm = rng.normal(size=(2, 4)), rng.normal(size=(2, 3))
         b = param(rng.normal(size=3))
-        loss = ad.tsum(ad.mul(ad.affine(Tensor(m), w, b), Tensor(cm)))
-        for x, c in zip(xs, cs):
-            loss = loss + ad.tsum(ad.mul(ad.affine(Tensor(x), w, b), Tensor(c)))
-        loss.backward()
+        # One matrix product and three vector products share w and b.
+        out = ad.concat([ad.affine(Tensor(m), w, b), *(row(ad.affine(Tensor(x), w, b)) for x in xs)], axis=0)
+        out.backward(np.vstack([cm, *cs]))
         dense = m.T @ cm + sum(np.outer(x, c) for x, c in zip(xs, cs))
         assert np.allclose(w.grad, dense, rtol=1e-12, atol=1e-12)
         assert np.allclose(b.grad, cm.sum(axis=0) + sum(cs), rtol=1e-12, atol=1e-12)
 
     def test_repeated_row_lookups_sum(self, f64):
         embed = param(np.zeros((5, 2)))
-        loss = ad.tsum(ad.gather(embed, 3)) + ad.tsum(ad.scale(ad.gather(embed, 3), 2.0))
-        (loss + ad.tsum(ad.gather(embed, 1))).backward()
+        out = ad.concat([ad.gather(embed, 3), ad.gather(embed, 3), ad.gather(embed, 1)])
+        out.backward([1.0, 1.0, 2.0, 2.0, 1.0, 1.0])
         expected = np.zeros((5, 2))
         expected[3] = 3.0
         expected[1] = 1.0
@@ -702,7 +747,7 @@ class TestDeferredGradients:
 
     def test_untouched_parameters_keep_no_gradient(self, f64):
         embed, w, unused = param(np.ones((4, 2))), param(np.ones((2, 3))), param(np.ones((2, 3)))
-        ad.tsum(ad.affine(ad.gather(embed, 2), w, Tensor(np.zeros(3)))).backward()
+        sum_backward(ad.affine(ad.gather(embed, 2), w, Tensor(np.zeros(3))))
         assert embed.grad is not None and w.grad is not None
         assert unused.grad is None
 
@@ -713,7 +758,7 @@ def test_dropout_gradient_matches_mask(f64):
     kept = out.data > 0
     assert abs(kept.mean() - 0.5) < 0.1
     assert np.allclose(out.data[kept], 2.0)  # inverted scaling
-    ad.tsum(out).backward()
+    sum_backward(out)
     assert np.allclose(p.grad[kept], 2.0)
     assert np.allclose(p.grad[~kept], 0.0)
 
@@ -774,7 +819,7 @@ def test_sigmoid_saturates_without_floating_point_errors(dtype):
 
 def test_grad_shape_matches_value_shape(f64):
     p = param(np.ones((2, 3)))
-    ad.tsum(ad.mul(p, p)).backward()
+    sum_backward(ad.tanh(p))
     assert p.grad.shape == p.data.shape
 
 

@@ -46,12 +46,13 @@ def random_nodes(n, seed=0) -> Tensor:
 
 
 def one(nodes: Tensor, graph_emb: Tensor):
-    # A batch of one example: node rows, their segment, graph embedding.
+    # A batch of one example: node rows, their segment, and the (d,) graph
+    # embedding as a (1, d) row, gathered so that gradients reach it.
     n, d = nodes.data.shape
     return (
         nodes,
         (np.arange(n)[None, :], np.ones((1, n), dtype=bool)),
-        ad.reshape(graph_emb, (1, d)),
+        ad.gather(graph_emb, np.arange(d)[None, :]),
     )
 
 
@@ -246,7 +247,7 @@ class TestSequenceLoss:
         loss, count = sequence_loss(*one(nodes, ge), [[EOS]], store, cfg)
         assert count == 1
         memory = memory_of(nodes, store)
-        state = init_state(ad.reshape(ge, (1, NODE_DIM)).data, memory, store, cfg)
+        state = init_state(ge.data[None, :], memory, store, cfg)
         dist, _ = first_distribution(state, memory, store)
         assert loss.item() == pytest.approx(-math.log(float(dist[EOS])), abs=1e-5)
 
@@ -266,8 +267,8 @@ class TestSequenceLoss:
         cfg = small_cfg()
         store = make_store(cfg, randomize=10)
         nodes = Tensor(np.random.default_rng(11).normal(size=(3, NODE_DIM)), requires_grad=True)
-        graph_emb = ad.segment_max(nodes, np.array([[0, 1, 2]]), np.ones((1, 3), dtype=bool))
-        loss, _ = sequence_loss(*one(nodes, graph_emb), [[4, EOS]], store, cfg)
+        pooled = ad.segment_max(nodes, np.array([[0, 1, 2]]), np.ones((1, 3), dtype=bool))
+        loss, _ = sequence_loss(*one(nodes, ad.gather(pooled, 0)), [[4, EOS]], store, cfg)
         loss.backward()
         touched = [name for name, t in store.items() if t.grad is not None]
         assert "tgt_embed" in touched

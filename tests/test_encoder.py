@@ -171,7 +171,7 @@ class TestPropagate:
         def endpoint_embedding(last_text):
             graph = make_graph(4, [(0, 1), (1, 2), (2, 3)],
                                texts=[("t0",), ("t1",), ("t2",), (last_text,)])
-            feats = init_node_features(graph, vocab, store, cfg)
+            feats = init_node_features(graph, vocab, store)
             return propagate(graph, feats, store, cfg).data[0]
 
         assert np.array_equal(endpoint_embedding("original"), endpoint_embedding("mutated"))
@@ -185,7 +185,7 @@ class TestPropagate:
 
         def endpoint_embedding(text):
             graph = make_graph(3, [(0, 1), (1, 2)], texts=[("t0",), ("t1",), (text,)])
-            feats = init_node_features(graph, vocab, store, cfg)
+            feats = init_node_features(graph, vocab, store)
             return propagate(graph, feats, store, cfg).data[0]
 
         assert not np.array_equal(endpoint_embedding("original"), endpoint_embedding("mutated"))
@@ -196,7 +196,7 @@ class TestPropagate:
         randomize_parameters(store, np.random.default_rng(10))
         vocab = vocab_over(["u", "v"])
         graph = make_graph(2, [(0, 1)], texts=[("u",), ("v",)])
-        feats = init_node_features(graph, vocab, store, cfg)
+        feats = init_node_features(graph, vocab, store)
         directed = propagate(graph, feats, store, cfg)
         assert not np.allclose(directed.data[0], directed.data[1])
         undirected = propagate(to_undirected(graph), feats, store, cfg)
@@ -242,7 +242,7 @@ class TestNodeFeatures:
             randomize_parameters(store, np.random.default_rng(2))
             vocab = vocab_over(["select"])
             graph = make_graph(1, [], texts=[("select",)])
-            feats = init_node_features(graph, vocab, store, cfg)
+            feats = init_node_features(graph, vocab, store)
             assert np.allclose(feats.data[0], _oracle_lstm(store, vocab, ("select",)), atol=1e-12)
 
     def test_two_token_node_matches_hand_recurrence(self):
@@ -252,7 +252,7 @@ class TestNodeFeatures:
             randomize_parameters(store, np.random.default_rng(3))
             vocab = vocab_over([">", "val_0"])
             graph = make_graph(1, [], texts=[(">", "val_0")])
-            feats = init_node_features(graph, vocab, store, cfg)
+            feats = init_node_features(graph, vocab, store)
             assert np.allclose(feats.data[0], _oracle_lstm(store, vocab, (">", "val_0")), atol=1e-12)
 
     def test_identical_texts_share_features(self):
@@ -260,7 +260,7 @@ class TestNodeFeatures:
         store = hop_store(cfg, seed=8)
         vocab = vocab_over(["dup"])
         graph = make_graph(2, [], texts=[("dup",), ("dup",)])
-        feats = init_node_features(graph, vocab, store, cfg)
+        feats = init_node_features(graph, vocab, store)
         assert np.array_equal(feats.data[0], feats.data[1])
 
     def test_unknown_tokens_map_to_unk(self):
@@ -269,8 +269,8 @@ class TestNodeFeatures:
         vocab = vocab_over(["known"])
         known = make_graph(1, [], texts=[("mystery",)])
         also_unknown = make_graph(1, [], texts=[("enigma",)])
-        f1 = init_node_features(known, vocab, store, cfg)
-        f2 = init_node_features(also_unknown, vocab, store, cfg)
+        f1 = init_node_features(known, vocab, store)
+        f2 = init_node_features(also_unknown, vocab, store)
         assert np.array_equal(f1.data[0], f2.data[0])
 
 
@@ -344,7 +344,7 @@ class TestGraphEmbedding:
             graph = make_graph(3, [(0, 1), (0, 2)], texts=[("a",), ("b",), ("c",)])
             *_, ge = encode([graph], vocab, store, cfg)
             augmented = add_super_node(graph)
-            feats = init_node_features(augmented, vocab, store, cfg)
+            feats = init_node_features(augmented, vocab, store)
             expected = oracle_propagate(list(feats.data), augmented.edges, store, cfg)
             assert np.allclose(ge.data[0], expected[-1], atol=1e-9)
 
@@ -370,8 +370,10 @@ def test_encoder_gradients_match_finite_differences():
     graph = build_graph(parse("SELECT a, b"))
 
     def loss(s):
+        # A scalar that every entry of both outputs moves: cross-entropy over their rows.
         nodes, _, ge = encode([graph], vocab, s, cfg)
-        return ad.tsum(ge) + ad.tsum(nodes)
+        rows = ad.concat([ge, nodes], axis=0)
+        return ad.cross_entropy(rows, np.arange(len(rows.data)) % rows.data.shape[1])
 
     err = finite_difference_check(loss, store, samples=60, rng=np.random.default_rng(12))
     assert err < 1e-3

@@ -128,23 +128,23 @@ class TestBuildGraph:
         g = build_graph(
             parse("SELECT COUNT Player WHERE starter = val0 AND touchdowns = val1 AND position = val2")
         )
-        agg = g.node_of_kind("aggregation")
-        assert agg is not None and agg.text == ("count",)
-        select = g.node_of_kind("select")
+        agg = next(n for n in g.nodes if n.kind == "aggregation")
+        assert agg.text == ("count",)
+        select = next(n for n in g.nodes if n.kind == "select")
         player = [n for n in g.nodes if n.text == ("player",)][0]
         assert (select.id, agg.id) in g.edges
         assert (agg.id, player.id) in g.edges
 
     def test_single_condition_attaches_under_select(self):
         g = build_graph(parse("SELECT a WHERE b > val0"))
-        assert g.node_of_kind("operator") is None
-        select = g.node_of_kind("select")
+        assert all(n.kind != "operator" for n in g.nodes)
+        select = next(n for n in g.nodes if n.kind == "select")
         col_b = [n for n in g.nodes if n.text == ("b",)][0]
         assert (select.id, col_b.id) in g.edges
 
     def test_every_operator_points_at_select(self):
         g = build_graph(parse("SELECT a WHERE NOT b = val0 AND (c = val1 OR d = val2)"))
-        select = g.node_of_kind("select")
+        select = next(n for n in g.nodes if n.kind == "select")
         operators = [n for n in g.nodes if n.kind == "operator"]
         assert sorted(n.text[0] for n in operators) == ["and", "not", "or"]
         for op in operators:
@@ -256,7 +256,7 @@ class TestNestedLogic:
         for sql in NESTED_PAIR:
             g = build_graph(parse(sql))
             fwd, _ = g.adjacency()
-            select = g.node_of_kind("select")
+            select = next(n for n in g.nodes if n.kind == "select")
             for node in g.nodes:
                 if node.kind == "operator":
                     children = [u for u in fwd[node.id] if u != select.id]

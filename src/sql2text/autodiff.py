@@ -18,15 +18,12 @@ backpropagation through time, and both share the cell math (``_cell``,
 and the attention decoder is ``attention_lstm``, one op over a whole
 teacher-forced batch.  Its forward runs ``attention_lstm_step``, a numpy
 function that greedy and beam decoding call directly on arrays.
-Weight and embedding-lookup gradients are not summed as they arrive.
-``affine`` and the two LSTM ops store the operand pair of each outer
-product on its weight matrix, and ``gather`` and the LSTM ops each
-looked-up index with its gradient; when
-the reverse sweep reaches the matrix, all stored pairs become its
-gradient in one GEMM and all stored rows in one ``np.add.at`` on the
-flattened gradient, numpy's fast 1-D scatter.  So each weight gradient is
-built once per backward, and an embedding's cost does not grow with the
-vocabulary.  ``segment_max`` also scatters its gradient that way.
+Each op sums its own gradient terms in its backward: a weight matrix
+gets one GEMM over the operand rows of all the op's steps
+(``_add_outer``), and looked-up rows one ``np.add.at`` on the flattened
+gradient (``_add_at``), numpy's fast 1-D scatter, so an embedding's cost
+does not grow with the vocabulary.  ``gather`` and ``segment_max``
+scatter the same way.
 
 :meth:`Tensor.backward` runs reverse mode from any output: it seeds the
 sweep with a cotangent of the output's shape (one, for a scalar, by
@@ -92,7 +89,7 @@ class Tensor:
     closure, accumulates them across calls to :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_pairs", "_rows")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=_DEFAULT_DTYPE.get())
@@ -100,11 +97,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
         self._backward = None
-        self._pairs: tuple | None = None  # ([u], [v]): grad += U.T @ V
-        self._rows: tuple | None = None  # ([index], [g]): grad[index] += g
-
-    def item(self) -> float:
-        return float(self.data)
 
     def backward(self, grad=None) -> None:
         """Reverse mode from this tensor: seed the sweep with the cotangent
@@ -137,9 +129,6 @@ class Tensor:
         _accumulate(self, seed)
         while order:
             node = order.pop()  # so the list no longer pins the node
-            # Every consumer of node has run, so its deferred terms are final.
-            if node._pairs is not None or node._rows is not None:
-                _flush(node)
             if node._backward is None:
                 continue
             if node.grad is not None:
@@ -187,43 +176,29 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _defer_outer(t: Tensor, u: np.ndarray, v: np.ndarray) -> None:
-    """Record the gradient term u.T @ v of matrix t; u and v are reshaped
-    to rows, so a vector counts as one row and a (b, n, m) operand as b*n."""
-    m, n = t.data.shape
-    if t._pairs is None:
-        t._pairs = ([], [])
-    t._pairs[0].append(u.reshape(-1, m))
-    t._pairs[1].append(v.reshape(-1, n))
+def _add_outer(t: Tensor, u: np.ndarray, v: np.ndarray) -> None:
+    """Add the weight-gradient term u.T @ v of matrix t in one GEMM, u and v
+    read as C-ordered rows, so a (b, n, m) operand counts as b*n rows."""
+    if t.requires_grad:
+        m, n = t.data.shape
+        _accumulate(t, np.ascontiguousarray(u.reshape(-1, m)).T @ np.ascontiguousarray(v.reshape(-1, n)))
 
 
-def _defer_rows(t: Tensor, index: np.ndarray, g: np.ndarray) -> None:
-    """Record the gradient term grad[index] += g of t, g holding one row of t per index entry."""
+def _row_positions(t: Tensor, index: np.ndarray) -> np.ndarray:
+    """Flat positions in t of every entry of its rows at index."""
+    width = t.data[0].size
+    return (index.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+
+
+def _add_at(t: Tensor, flat: np.ndarray, values: np.ndarray) -> None:
+    """grad.flat[flat] += values, repeated positions adding up (fancy-index
+    += keeps one), in np.add.at's fast 1-D loop."""
     if not t.requires_grad:
         return
-    if t._rows is None:
-        t._rows = ([], [])
-    t._rows[0].append(index.reshape(-1))
-    t._rows[1].append(g.reshape((-1,) + t.data.shape[1:]))
-
-
-def _flush(t: Tensor) -> None:
-    """Add t's deferred terms to its gradient: one GEMM, one scatter-add."""
-    if t._pairs is not None:
-        us, vs = t._pairs
-        t._pairs = None
-        _accumulate(t, np.concatenate(us).T @ np.concatenate(vs))
-    if t._rows is not None:
-        index, gs = t._rows
-        t._rows = None
-        if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        t.grad = np.ascontiguousarray(t.grad)  # so reshape(-1) is a view
-        # add.at sums repeated indices (fancy-index += keeps one); at flat
-        # positions it adds what it would at rows, in its fast 1-D loop.
-        width = t.data[0].size
-        flat = (np.concatenate(index)[:, None] * width + np.arange(width)).reshape(-1)
-        np.add.at(t.grad.reshape(-1), flat, np.concatenate(gs).reshape(-1))
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad = np.ascontiguousarray(t.grad)  # so reshape(-1) is a view
+    np.add.at(t.grad.reshape(-1), flat, values.reshape(-1))
 
 
 def _records(parents: Sequence[Tensor]) -> bool:
@@ -235,7 +210,6 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out._pairs = out._rows = None
     if _records(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -248,8 +222,7 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b for x of shape (..., p), w (p, q) and b (q,), as one op;
-    the weight gradient is deferred to one GEMM (see ``_defer_outer``)."""
+    """x @ w + b for x of shape (..., p), w (p, q) and b (q,), as one op."""
     if x.data.shape[-1] != w.data.shape[0]:
         raise AutodiffError(
             f"affine dimension mismatch: input {x.data.shape} vs weight {w.data.shape}"
@@ -260,8 +233,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         if x.requires_grad:
             _accumulate(x, g @ w.data.T)
-        if w.requires_grad:
-            _defer_outer(w, x.data, g)
+        _add_outer(w, x.data, g)
         # The bias gradient sums g over its leading axes, one axis-0 sum each.
         while g.ndim > 1:
             g = g.sum(axis=0)
@@ -306,13 +278,12 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
 
 def gather(m: Tensor, index) -> Tensor:
     """Rows of m at an int index of any shape (a scalar picks one row, or
-    one element of a vector); repeated indices add up their gradients,
-    which are deferred as (index, g) pairs to one flat scatter-add."""
+    one element of a vector); repeated indices add up their gradients."""
     index = np.asarray(index, dtype=np.intp)
     out = np.asarray(m.data[index])
 
     def backward(g):
-        _defer_rows(m, index, g)
+        _add_at(m, _row_positions(m, index), g)
 
     return _result(out, (m,), backward)
 
@@ -344,9 +315,7 @@ def segment_max(m: Tensor, index: np.ndarray, valid: np.ndarray) -> Tensor:
     flat = (src[filled] * d + np.arange(d)).reshape(-1)  # source positions in m
 
     def backward(g):
-        gm = np.zeros(m.data.size, dtype=m.data.dtype)
-        np.add.at(gm, flat, g[filled].reshape(-1))
-        _accumulate(m, gm.reshape(m.data.shape))
+        _add_at(m, flat, g[filled])
 
     return _result(out, (m,), backward)
 
@@ -406,16 +375,21 @@ def lstm(embed: Tensor, steps, weights) -> Tensor:
 
     def backward(g):
         dh_next, dc_next = np.zeros((2, sizes[0], hd), dtype=g.dtype)
+        zs, dgs, idss, des = [], [], [], []  # per step, last first
         end = len(g)
         while saved:
             ids, z, cell = saved.pop()
             n, end = len(ids), end - len(ids)
             dgates, dc_next[:n] = _cell_backward(g[end : end + n] + dh_next[:n], dc_next[:n], cell)
-            _defer_outer(w, z, dgates)
+            zs.append(z)
+            dgs.append(dgates)
             _accumulate(b, dgates.sum(axis=0))
             dz = dgates @ w.data.T
-            _defer_rows(embed, ids, dz[:, :e])
+            idss.append(ids)
+            des.append(dz[:, :e])
             dh_next[:n] = dz[:, e:]
+        _add_outer(w, np.concatenate(zs), np.concatenate(dgs))
+        _add_at(embed, _row_positions(embed, np.concatenate(idss)), np.concatenate(des))
 
     return _result(out, (embed, w, b), backward)
 
@@ -498,6 +472,8 @@ def attention_lstm(embed: Tensor, steps, h: Tensor, c: Tensor, weights, node_row
         dh_next, dc_next = np.zeros((2, rows, hd), dtype=g.dtype)
         dctx_next = np.zeros((rows, d), dtype=g.dtype)
         d_nodes, d_proj = np.zeros_like(nodes), np.zeros_like(proj)
+        # Each weight's operand rows and the looked-up embedding rows, per step, last first.
+        hts, dqs, zs, dgs, idss, des = [], [], [], [], [], []
 
         def attend_backward(dctx, h_t, a, energy):  # the partial of h_t from its context's
             n = len(a)
@@ -508,7 +484,8 @@ def attention_lstm(embed: Tensor, steps, h: Tensor, c: Tensor, weights, node_row
             d_proj[:n] += de
             _accumulate(weights[4], np.einsum("bnh,bn->h", energy, ds))
             dq = de.sum(axis=1)
-            _defer_outer(weights[2], h_t, dq)
+            hts.append(h_t)
+            dqs.append(dq)
             _accumulate(weights[3], dq.sum(axis=0))
             return dq @ w[2].T
 
@@ -519,18 +496,23 @@ def attention_lstm(embed: Tensor, steps, h: Tensor, c: Tensor, weights, node_row
             dh = g[end : end + n, :hd] + dh_next[:n]
             dh += attend_backward(g[end : end + n, hd:] + dctx_next[:n], h_t, a, energy)
             dgates, dc_next[:n] = _cell_backward(dh, dc_next[:n], cell)
-            _defer_outer(weights[0], z, dgates)
+            zs.append(z)
+            dgs.append(dgates)
             _accumulate(weights[1], dgates.sum(axis=0))
             dz = dgates @ w[0].T
-            _defer_rows(embed, ids, dz[:, :e])
+            idss.append(ids)
+            des.append(dz[:, :e])
             dctx_next[:n], dh_next[:n] = dz[:, e:-hd], dz[:, -hd:]
         dh_next += attend_backward(dctx_next, h.data, a0, energy0)
         _accumulate(h, dh_next)
         _accumulate(c, dc_next)
+        _add_outer(weights[0], np.concatenate(zs), np.concatenate(dgs))
+        _add_outer(weights[2], np.concatenate(hts), np.concatenate(dqs))
+        _add_at(embed, _row_positions(embed, np.concatenate(idss)), np.concatenate(des))
         dp = d_proj[mask]
-        _defer_outer(weights[5], nodes[mask], dp)
+        _add_outer(weights[5], nodes[mask], dp)
         _accumulate(weights[6], dp.sum(axis=0))
-        _defer_rows(node_rows, slots[mask], d_nodes[mask] + dp @ w[5].T)
+        _add_at(node_rows, _row_positions(node_rows, slots[mask]), d_nodes[mask] + dp @ w[5].T)
 
     return _result(out, (embed, h, c, node_rows, *weights), backward)
 

@@ -159,6 +159,13 @@ def randomize_parameters(
         t.data = rng.uniform(-scale, scale, t.data.shape).astype(t.data.dtype)
 
 
+def _loss_value(loss: Tensor) -> float:
+    """The value of a one-entry loss of any shape, as ``backward()`` reads it."""
+    if loss.data.size != 1:
+        raise AutodiffError(f"finite_difference_check needs a one-entry loss, got shape {loss.data.shape}")
+    return loss.data.item()
+
+
 def finite_difference_check(
     model_loss: Callable[[ParameterStore], Tensor],
     store: ParameterStore,
@@ -170,7 +177,9 @@ def finite_difference_check(
     """Compare backward gradients against central finite differences.
 
     ``model_loss`` must be deterministic (dropout off, fixed inputs); two
-    initial evaluations are compared to verify this.  The difference
+    initial evaluations are compared to verify this.  Its loss may have
+    any shape with one entry, as for ``backward()``; more raise
+    AutodiffError.  The difference
     quotients are evaluated in ``fd_dtype`` (float64 by default) so the
     returned worst relative error measures the engine's gradients rather
     than cancellation noise in the probe itself.  The default step ``h``
@@ -188,8 +197,8 @@ def finite_difference_check(
         rng = np.random.default_rng(0)
 
     with no_grad():
-        first = float(model_loss(store).data)
-        second = float(model_loss(store).data)
+        first = _loss_value(model_loss(store))
+        second = _loss_value(model_loss(store))
     if first != second:
         raise AutodiffError(
             f"model_loss is not deterministic: {first!r} != {second!r}"
@@ -221,9 +230,9 @@ def finite_difference_check(
                 arr = store[name].data
                 base = arr.flat[flat_index]
                 arr.flat[flat_index] = base + h
-                plus = float(model_loss(store).data)
+                plus = _loss_value(model_loss(store))
                 arr.flat[flat_index] = base - h
-                minus = float(model_loss(store).data)
+                minus = _loss_value(model_loss(store))
                 arr.flat[flat_index] = base
                 fd = (plus - minus) / (2.0 * h)
                 ad = float(ad_grads[name].flat[flat_index])

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from sql2text import autodiff as ad
 from sql2text.autodiff import AutodiffError, Tensor
-from sql2text.data import ExamplePair, tokenize_text
+from sql2text.data import ExamplePair, build_vocab, tokenize_text
 from sql2text.graphs import template_interpret
+from sql2text.model import GraphToSequenceModel, query_graph
 from sql2text.parser import parse
 from sql2text.training import TrainConfig, train
 
@@ -33,7 +34,7 @@ def sum_backward(out):
 
 def square(p):
     """p² for a one-entry p: p times the (1, 1) matrix gathered from p,
-    so p's gradient arrives twice, as a product and as a deferred pair."""
+    so p's gradient arrives twice, as an input and as a weight gradient."""
     return ad.affine(p, ad.gather(p, [[0]]), Tensor([0.0]))
 
 
@@ -162,18 +163,12 @@ def reference_segment_max(m, index, valid):
     return ad._result(out, (m,), backward)
 
 
-def reference_flush(t):
-    """_flush with the deferred rows scattered by a 2-D np.add.at."""
-    if t._pairs is not None:
-        us, vs = t._pairs
-        t._pairs = None
-        ad._accumulate(t, np.concatenate(us).T @ np.concatenate(vs))
-    if t._rows is not None:
-        index, gs = t._rows
-        t._rows = None
+def reference_add_at(t, flat, values):
+    """_add_at as a 2-D np.add.at at the (row, column) of each flat position."""
+    if t.requires_grad:
         if t.grad is None:
             t.grad = np.zeros_like(t.data)
-        np.add.at(t.grad, np.concatenate(index), np.concatenate(gs))
+        np.add.at(t.grad, np.unravel_index(flat, t.data.shape), values.reshape(-1))
 
 
 def _segment_max_case(name, rng):
@@ -211,7 +206,7 @@ SEGMENT_CASES = ["random_mask", "empty_rows_and_columns", "one_row_max_everywher
 
 
 class TestKernelsMatchReferenceBitwise:
-    """segment_max and the deferred row scatter give the values and
+    """segment_max and the flat scatter-add give the values and
     gradients of the padded, 2-D reference formulation, bit for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -240,12 +235,12 @@ class TestKernelsMatchReferenceBitwise:
         indices = [np.array([1, 1, 4, 1, 0, 4]), np.array([[3, 1], [1, 1], [5, 3]]), np.array(1)]
         upstream = rng.normal(size=(19, 5))
         grads = []
-        for flush in (ad._flush, reference_flush):
-            monkeypatch.setattr(ad, "_flush", flush)
+        for add_at in (ad._add_at, reference_add_at):
+            monkeypatch.setattr(ad, "_add_at", add_at)
             with ad.default_dtype(dtype):
                 m = Tensor(m0, requires_grad=True)
                 vector, matrix, scalar = (ad.gather(m, i) for i in indices)
-                # m's own tanh term reaches its gradient before the scatter;
+                # m's own tanh term reaches its gradient before the scatters;
                 # the three lookups of m, one index shape each, are rows of one output.
                 rows = [ad.tanh(m), vector, *(ad.gather(matrix, k) for k in range(3)), row(scalar)]
                 ad.concat(rows, axis=0).backward(upstream)
@@ -284,12 +279,38 @@ def _train_tiny(ge_method, undirected):
 def test_training_matches_reference_kernels_bitwise(ge_method, undirected, monkeypatch):
     params, outputs = _train_tiny(ge_method, undirected)
     monkeypatch.setattr(ad, "segment_max", reference_segment_max)
-    monkeypatch.setattr(ad, "_flush", reference_flush)
+    monkeypatch.setattr(ad, "_add_at", reference_add_at)
     ref_params, ref_outputs = _train_tiny(ge_method, undirected)
     assert params.keys() == ref_params.keys()
     for name in params:
         assert params[name].tobytes() == ref_params[name].tobytes(), name
     assert outputs == ref_outputs
+
+
+@pytest.mark.parametrize("ge_method", ["pooling", "supernode"])
+def test_each_weight_gets_one_gradient_gemm_per_backward(ge_method, monkeypatch):
+    # Every step's operand rows of a weight go into a single GEMM, so the
+    # weight-gradient count does not grow with steps or sequences.
+    pairs = [ExamplePair(sql, tokenize_text(template_interpret(parse(sql)))) for sql in TINY_QUERIES]
+    config = TrainConfig(word_dim=5, hidden=4, hop_size=2, ge_method=ge_method)
+    model = GraphToSequenceModel(*build_vocab(pairs), config)
+    gemms = []
+    add_outer = ad._add_outer
+
+    def counted(t, u, v):
+        gemms.append(t)
+        add_outer(t, u, v)
+
+    monkeypatch.setattr(ad, "_add_outer", counted)
+    graphs = [query_graph(pair.sql, config.undirected) for pair in pairs]
+    loss, _ = model.loss(graphs, [pair.target for pair in pairs], rng=np.random.default_rng(0))
+    loss.backward()
+    assert len({id(t) for t in gemms}) == len(gemms)
+    # Each affine weight once, and the two LSTMs' joined gate weights once each.
+    matrices = {name for name in model.store.names() if name.endswith(".w") and "lstm" not in name}
+    leaves = {name for name, t in model.store.items() if any(t is g for g in gemms)}
+    assert leaves == matrices
+    assert len(gemms) == len(matrices) + 2
 
 
 def attend_weights(scores) -> np.ndarray:
@@ -664,13 +685,13 @@ OP_CASES = {
         np.array([[0, 1, 2]]),
         np.ones((1, 3), dtype=bool),
     ),
-    # p receives deferred outer products from vector and matrix products.
+    # p receives weight gradients from vector and matrix products.
     "affine_shared_weight": lambda p: ad.concat([
         row(ad.tanh(ad.affine(ad.gather(p, 0), p, ad.gather(p, 1)))),
         row(ad.affine(ad.gather(p, 2), p, ad.gather(p, 0))),
         ad.affine(ad.tanh(p), p, ad.gather(p, 2)),
     ], axis=0),
-    # Non-leaf matrices receive deferred pairs, then backpropagate them.
+    # Non-leaf matrices receive weight gradients, then backpropagate them.
     "nonleaf_pairs": lambda p: ad.concat([
         ad.tanh(ad.affine(ad.tanh(ad.gather(p, [2, 1, 0])), ad.tanh(p), ad.gather(p, 0))),
         ad.gather(ad.tanh(ad.affine(

@@ -59,11 +59,11 @@ def test_batch_loss_and_gradients_equal_single_example_sums(variant):
     for graph, target in zip(graphs, targets):
         single, n = model.loss([graph], [target])
         single.backward()  # gradients accumulate over the calls
-        total += single.item()
+        total += float(single.data)
         count += n
 
     assert tokens == count == sum(len(t) + 1 for t in targets)
-    assert abs(loss.item() - total) < TOL
+    assert abs(float(loss.data) - total) < TOL
     for name, t in model.store.items():
         assert (batched[name] is None) == (t.grad is None), name
         if t.grad is not None:
@@ -75,9 +75,9 @@ def test_dropout_masks_follow_batch_order():
     batch, _ = model.loss(graphs, targets, rng=np.random.default_rng(7))
     rng = np.random.default_rng(7)
     singles = sum(
-        model.loss([graph], [target], rng=rng)[0].item()
+        float(model.loss([graph], [target], rng=rng)[0].data)
         for graph, target in zip(graphs, targets)
     )
-    assert abs(batch.item() - singles) < TOL
+    assert abs(float(batch.data) - singles) < TOL
     no_dropout, _ = model.loss(graphs, targets)
-    assert abs(batch.item() - no_dropout.item()) > 1e-3
+    assert abs(float(batch.data) - float(no_dropout.data)) > 1e-3

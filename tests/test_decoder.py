@@ -170,7 +170,7 @@ class TestDecodeStep:
         store = make_store(cfg, randomize=7)
         batch = one(random_nodes(3, seed=8), Tensor(np.zeros((NODE_DIM,))))
         rng = np.random.default_rng(0)
-        draws = {sequence_loss(*batch, [[4, EOS]], store, cfg, rng=rng)[0].item() for _ in range(4)}
+        draws = {float(sequence_loss(*batch, [[4, EOS]], store, cfg, rng=rng)[0].data) for _ in range(4)}
         assert len(draws) > 1
 
     def test_two_step_unroll_matches_hand_recurrence(self):
@@ -237,7 +237,7 @@ class TestSequenceLoss:
             target = [4, 5, 4, EOS]
             loss, count = sequence_loss(*one(nodes, Tensor(np.zeros(NODE_DIM))), [target], store, cfg)
             assert count == 4
-            assert loss.item() / count == pytest.approx(math.log(VOCAB), abs=1e-9)
+            assert float(loss.data) / count == pytest.approx(math.log(VOCAB), abs=1e-9)
 
     def test_single_eos_target(self):
         cfg = small_cfg()
@@ -249,7 +249,7 @@ class TestSequenceLoss:
         memory = memory_of(nodes, store)
         state = init_state(ge.data[None, :], memory, store, cfg)
         dist, _ = first_distribution(state, memory, store)
-        assert loss.item() == pytest.approx(-math.log(float(dist[EOS])), abs=1e-5)
+        assert float(loss.data) == pytest.approx(-math.log(float(dist[EOS])), abs=1e-5)
 
     def test_empty_target_rejected(self):
         cfg = small_cfg()
@@ -336,7 +336,7 @@ class TestDecoding:
 
             def hyp_score(tokens):
                 loss, _ = sequence_loss(*one(nodes, ge), [list(tokens) + [EOS]], store, cfg)
-                return -loss.item()
+                return -float(loss.data)
 
             prev_score = None
             for beam in (1, 2, 3, 4):

@@ -190,6 +190,22 @@ class TestFiniteDifferenceCheck:
         err = finite_difference_check(lambda s: Tensor(2.0), store)
         assert err == 0.0
 
+    @pytest.mark.parametrize("index", [0, [0], [[0]]])
+    def test_one_entry_loss_of_any_shape(self, f64, index):
+        # A 0-d, (1,) or (1, 1) loss: backward() seeds any one-entry loss
+        # with one, and the probe reads it the same way.
+        store = store_with({"p": [1.5]})
+
+        def loss(s):
+            return ad.gather(ad.affine(s["p"], Tensor([[2.0]]), Tensor([0.5])), index)
+
+        assert finite_difference_check(loss, store) < 1e-8
+
+    def test_loss_with_more_than_one_entry_rejected(self, f64):
+        store = store_with({"p": [1.0, 2.0]})
+        with pytest.raises(AutodiffError, match="one-entry"):
+            finite_difference_check(lambda s: s["p"], store)
+
     def test_nondeterministic_loss_detected(self, f64):
         store = store_with({"p": [1.0]})
         counter = {"n": 0}

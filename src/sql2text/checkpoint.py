@@ -141,6 +141,24 @@ def load_checkpoint(path) -> ModelCheckpoint:
     )
 
 
+def _join_gates(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """``arrays`` with each LSTM's gates joined where they are stored one
+    array per gate ({prefix}.{i,f,o,c}.{w,b}), as older files hold them."""
+    arrays = dict(arrays)
+    for prefix in ("node_lstm", "dec_lstm"):
+        names = [f"{prefix}.{gate}.{kind}" for kind in "wb" for gate in "ifoc"]
+        parts = [arrays.pop(name, None) for name in names]
+        if all(part is None for part in parts):
+            continue
+        shapes = {name: getattr(part, "shape", None) for name, part in zip(names, parts)}
+        w = shapes[names[0]] or ()
+        joined = {name: arrays[name].shape for name in (f"{prefix}.w", f"{prefix}.b") if name in arrays}
+        if joined or len(w) != 2 or list(shapes.values()) != [w] * 4 + [w[1:]] * 4:
+            raise CheckpointError(f"checkpoint's {prefix} gate arrays do not join: {shapes | joined}")
+        arrays[f"{prefix}.w"], arrays[f"{prefix}.b"] = np.concatenate(parts[:4], axis=1), np.concatenate(parts[4:])
+    return arrays
+
+
 def restore_model(ckpt: ModelCheckpoint) -> GraphToSequenceModel:
     """Rebuild a model from a checkpoint; parameter shapes derived from the
     stored config must match the stored arrays exactly.
@@ -160,8 +178,9 @@ def restore_model(ckpt: ModelCheckpoint) -> GraphToSequenceModel:
         except (TypeError, ValueError) as exc:
             raise CheckpointError(f"checkpoint {side} vocabulary is invalid: {exc}") from exc
     model = GraphToSequenceModel(*vocabs, config)
+    arrays = _join_gates(ckpt.arrays)  # before the try, which would re-word its errors
     try:
-        model.store.load_arrays(ckpt.arrays)
+        model.store.load_arrays(arrays)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint arrays do not match its config: {exc}") from exc
     return model

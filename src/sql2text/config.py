@@ -69,9 +69,14 @@ class TrainConfig:
             raise ValueError(f"clip_norm must be positive, got {self.clip_norm!r}")
         if not 0 <= self.dropout < 1:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
-        if not 0 <= self.length_norm_alpha < math.inf:
+        try:  # beam search divides by max_decode_len ** length_norm_alpha
+            norm_cap = math.pow(self.max_decode_len, self.length_norm_alpha)
+        except OverflowError:
+            norm_cap = math.inf
+        if not (0 <= self.length_norm_alpha < math.inf and norm_cap < math.inf):
             raise ValueError(
-                f"length_norm_alpha must be finite and >= 0, got {self.length_norm_alpha!r}"
+                "length_norm_alpha must be finite and >= 0 with max_decode_len ** length_norm_alpha finite,"
+                f" got max_decode_len={self.max_decode_len!r}, length_norm_alpha={self.length_norm_alpha!r}"
             )
         if not isinstance(self.undirected, bool):
             raise ValueError(f"undirected must be true or false, got {self.undirected!r}")

@@ -20,7 +20,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import TrainConfig
 from .data import BOS, EOS
-from .nn import create_linear, create_lstm, linear, lstm_weights
+from .nn import create_linear, create_lstm, linear
 from .optim import ParameterStore
 
 
@@ -51,9 +51,9 @@ def build_decoder_params(
 
 def step_weights(store: ParameterStore) -> tuple[Tensor, ...]:
     """The decoder step's weights in the order of ``autodiff``'s attention
-    ops: dec_lstm's gates (joined once), attn_s, attn_v and attn_h."""
-    names = ("attn_s.w", "attn_s.b", "attn_v", "attn_h.w", "attn_h.b")
-    return (*lstm_weights(store, "dec_lstm"), *(store[name] for name in names))
+    ops: dec_lstm's gates, attn_s, attn_v and attn_h."""
+    names = ("dec_lstm.w", "dec_lstm.b", "attn_s.w", "attn_s.b", "attn_v", "attn_h.w", "attn_h.b")
+    return tuple(store[name] for name in names)
 
 
 def attention_memory(node_rows: np.ndarray, segments: tuple, graph_of_row, store: ParameterStore) -> tuple:

@@ -30,7 +30,7 @@ from .autodiff import Tensor
 from .config import TrainConfig
 from .data import Vocabulary
 from .graphs import QueryGraph, add_super_node, disjoint_union
-from .nn import create_linear, create_lstm, linear, lstm_weights
+from .nn import create_linear, create_lstm, linear
 from .optim import ParameterStore
 
 
@@ -67,7 +67,7 @@ def init_node_features(graph: QueryGraph, vocab: Vocabulary, store: ParameterSto
     padding is computed."""
     texts = sorted(dict.fromkeys(node.text for node in graph.nodes), key=len, reverse=True)
     steps = [[vocab.id(text[t]) for text in texts if len(text) > t] for t in range(len(texts[0]))]
-    states = ad.lstm(store["src_embed"], steps, lstm_weights(store, "node_lstm"))
+    states = ad.lstm(store["src_embed"], steps, (store["node_lstm.w"], store["node_lstm.b"]))
     # Text r's last state is row r of step len(text) - 1 in the step-major stack.
     starts = np.cumsum([0] + [len(ids) for ids in steps])
     last = {text: starts[len(text) - 1] + r for r, text in enumerate(texts)}

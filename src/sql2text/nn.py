@@ -1,15 +1,12 @@
 """Shared neural building blocks: linear layers and the weights of a gated
-recurrent cell, whose per-gate weights a forward pass joins once so that
-each step's four gates are one matrix product."""
+recurrent cell, its four gates side by side in one matrix and one bias."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, affine, concat
-from .optim import ParameterStore
-
-LSTM_GATES = ("i", "f", "o", "c")
+from .autodiff import Tensor, affine, get_default_dtype
+from .optim import INIT_RANGE, ParameterStore
 
 
 def create_linear(store: ParameterStore, prefix: str, in_dim: int, out_dim: int, rng: np.random.Generator) -> None:
@@ -22,15 +19,8 @@ def linear(store: ParameterStore, prefix: str, x: Tensor) -> Tensor:
 
 
 def create_lstm(store: ParameterStore, prefix: str, input_dim: int, hidden_dim: int, rng: np.random.Generator) -> None:
-    for gate in LSTM_GATES:
-        create_linear(store, f"{prefix}.{gate}", input_dim + hidden_dim, hidden_dim, rng)
-
-
-def lstm_weights(store: ParameterStore, prefix: str) -> tuple[Tensor, Tensor]:
-    """The gate weights and biases of an LSTM, joined in LSTM_GATES order:
-    (in + hidden, 4 * hidden) and (4 * hidden,)."""
-    return (
-        concat([store[f"{prefix}.{gate}.w"] for gate in LSTM_GATES], axis=1),
-        concat([store[f"{prefix}.{gate}.b"] for gate in LSTM_GATES]),
-    )
-
+    """Gates i, f, o and candidate side by side in one weight and bias; each
+    weight block is drawn as ``ParameterStore.create`` draws a weight."""
+    blocks = [rng.uniform(-INIT_RANGE, INIT_RANGE, (input_dim + hidden_dim, hidden_dim)) for _ in range(4)]
+    store.add(f"{prefix}.w", Tensor(np.concatenate(blocks, axis=1, dtype=get_default_dtype())))
+    store.create_zeros(f"{prefix}.b", (4 * hidden_dim,))

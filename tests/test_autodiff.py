@@ -306,11 +306,11 @@ def test_each_weight_gets_one_gradient_gemm_per_backward(ge_method, monkeypatch)
     loss, _ = model.loss(graphs, [pair.target for pair in pairs], rng=np.random.default_rng(0))
     loss.backward()
     assert len({id(t) for t in gemms}) == len(gemms)
-    # Each affine weight once, and the two LSTMs' joined gate weights once each.
-    matrices = {name for name in model.store.names() if name.endswith(".w") and "lstm" not in name}
+    # Each stored matrix once, the two LSTMs' gate weights included.
+    matrices = {name for name in model.store.names() if name.endswith(".w")}
     leaves = {name for name, t in model.store.items() if any(t is g for g in gemms)}
     assert leaves == matrices
-    assert len(gemms) == len(matrices) + 2
+    assert len(gemms) == len(matrices)
 
 
 def attend_weights(scores) -> np.ndarray:

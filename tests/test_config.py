@@ -56,6 +56,9 @@ INVALID = [
     ("lr", math.inf),  # a JSON config holds it as Infinity
     ("undirected", 1),
     ("pretrained_vectors", 5),
+    # Beam search divides by max_decode_len ** length_norm_alpha (60 by default).
+    ("length_norm_alpha", 200.0),
+    ("length_norm_alpha", 174),
 ]
 
 
@@ -95,6 +98,13 @@ class TestInvalidValueRejected:
     def test_fit(self, key, value):
         with pytest.raises(ValueError, match=key):
             SqlToTextGenerator(**{**SMALL, key: value}).fit(SQLS, TEXTS)
+
+
+def test_length_norm_bound_names_both_fields():
+    with pytest.raises(ValueError, match="max_decode_len=60, length_norm_alpha=200.0"):
+        TrainConfig(length_norm_alpha=200.0)
+    assert TrainConfig(length_norm_alpha=173).length_norm_alpha == 173
+    assert TrainConfig(max_decode_len=1, length_norm_alpha=1e6).max_decode_len == 1
 
 
 def test_fields_cannot_be_assigned():

@@ -19,7 +19,6 @@ from sql2text.decoder import (
     next_token_logits,
     sequence_loss,
 )
-from sql2text.nn import LSTM_GATES
 from sql2text.optim import ParameterStore, randomize_parameters
 
 VOCAB = 9
@@ -199,6 +198,11 @@ def _oracle_decode(store, nodes, graph_emb, tokens):
     def lin(prefix, x):
         return x @ store[f"{prefix}.w"].data + store[f"{prefix}.b"].data
 
+    def gate(k, z):  # dec_lstm's gate k column block: input, forget, output, candidate
+        w, b = store["dec_lstm.w"].data, store["dec_lstm.b"].data
+        block = slice(k * len(b) // 4, (k + 1) * len(b) // 4)
+        return z @ w[:, block] + b[block]
+
     def attn(s):
         scores = np.tanh(lin("attn_h", nodes) + lin("attn_s", s)) @ store["attn_v"].data
         e = np.exp(scores - scores.max())
@@ -213,8 +217,8 @@ def _oracle_decode(store, nodes, graph_emb, tokens):
     for token in tokens:
         x = np.concatenate([store["tgt_embed"].data[prev], ctx])
         z = np.concatenate([x, h])
-        i, f = sig(lin("dec_lstm.i", z)), sig(lin("dec_lstm.f", z))
-        o, g = sig(lin("dec_lstm.o", z)), np.tanh(lin("dec_lstm.c", z))
+        i, f = sig(gate(0, z)), sig(gate(1, z))
+        o, g = sig(gate(2, z)), np.tanh(gate(3, z))
         c = f * c + i * g
         h = o * np.tanh(c)
         ctx = attn(h)
@@ -426,10 +430,11 @@ def eos_probe(seed: int, cfg: TrainConfig, rate: float = 0.25, eos_weight: float
     reads only that unit.  EOS turns likely after a few tokens, so at any
     alpha many outputs end by EOS before the cap."""
     store, batch = probe(seed, cfg)
-    for gate in LSTM_GATES:
-        store[f"dec_lstm.{gate}.w"].data[:, 0] = 0.0
-        store[f"dec_lstm.{gate}.b"].data[0] = 10.0
-    store["dec_lstm.c.b"].data[0] = np.arctanh(rate)
+    w, b = store["dec_lstm.w"].data, store["dec_lstm.b"].data
+    hd = b.shape[0] // 4
+    w[:, ::hd] = 0.0  # column 0 of each gate's block
+    b[::hd] = 10.0
+    b[3 * hd] = np.arctanh(rate)  # the candidate gate's
     store["dec_init_c.w"].data[:, 0] = 0.0
     store["dec_init_c.b"].data[0] = np.random.default_rng(seed + 1700).uniform(-1.5, 0.0)
     store["dec_readout.w"].data[:, 0] = 0.0

@@ -279,16 +279,18 @@ def _oracle_lstm(store, vocab, text):
     def sig(x):
         return 1.0 / (1.0 + np.exp(-x))
 
-    d = store["node_lstm.i.b"].data.shape[0]
+    w, b = store["node_lstm.w"].data, store["node_lstm.b"].data
+    d = b.shape[0] // 4
+
+    def gate(k, z):  # gate k's column block: input, forget, output, candidate
+        return z @ w[:, k * d : (k + 1) * d] + b[k * d : (k + 1) * d]
+
     h = np.zeros(d)
     c = np.zeros(d)
     for token in text:
         x = store["src_embed"].data[vocab.id(token)]
         z = np.concatenate([x, h])
-        i = sig(z @ store["node_lstm.i.w"].data + store["node_lstm.i.b"].data)
-        f = sig(z @ store["node_lstm.f.w"].data + store["node_lstm.f.b"].data)
-        o = sig(z @ store["node_lstm.o.w"].data + store["node_lstm.o.b"].data)
-        g = np.tanh(z @ store["node_lstm.c.w"].data + store["node_lstm.c.b"].data)
+        i, f, o, g = sig(gate(0, z)), sig(gate(1, z)), sig(gate(2, z)), np.tanh(gate(3, z))
         c = f * c + i * g
         h = o * np.tanh(c)
     return h

@@ -3,6 +3,7 @@ CheckpointError and any malformed dataset in a ValueError naming the
 line, never in another exception."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,11 @@ from sql2text.checkpoint import (
 )
 from sql2text.cli import main
 from sql2text.config import TrainConfig
-from sql2text.data import SPECIAL_TOKENS, Vocabulary, ingest_dataset
+from sql2text.data import SPECIAL_TOKENS, ExamplePair, Vocabulary, ingest_dataset, tokenize_text
+from sql2text.graphs import template_interpret
 from sql2text.model import GraphToSequenceModel
+from sql2text.parser import parse
+from sql2text.training import train
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
@@ -53,6 +57,31 @@ def valid_blob(scratch) -> bytes:
     model = GraphToSequenceModel(vocab, vocab, config)
     path = scratch / "valid.ckpt"
     save_checkpoint(path, ModelCheckpoint.from_model(model))
+    return path.read_bytes()
+
+
+def per_gate(arrays: dict) -> dict:
+    """``arrays`` in the layout of files written before LSTM gates were
+    stored joined: each gate of node_lstm and dec_lstm as its own .w and .b
+    array, in the order the parameter store then held them."""
+    out = {}
+    for name, array in arrays.items():
+        prefix, _, kind = name.rpartition(".")
+        if prefix not in ("node_lstm", "dec_lstm"):
+            out[name] = array
+        elif kind == "w":
+            blocks = zip("ifoc", np.split(array, 4, axis=1), np.split(arrays[f"{prefix}.b"], 4))
+            for gate, w, b in blocks:
+                out[f"{prefix}.{gate}.w"], out[f"{prefix}.{gate}.b"] = w, b
+    return out
+
+
+@pytest.fixture(scope="module")
+def per_gate_blob(scratch, valid_blob) -> bytes:
+    ckpt = load_bytes(scratch, valid_blob)
+    ckpt.arrays = per_gate(ckpt.arrays)
+    path = scratch / "per-gate.ckpt"
+    save_checkpoint(path, ckpt)
     return path.read_bytes()
 
 
@@ -175,8 +204,8 @@ class TestCheckpointLoader:
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
-    def test_mutated_valid_file(self, scratch, valid_blob, data):
-        blob = bytearray(valid_blob)
+    def test_mutated_valid_file(self, scratch, valid_blob, per_gate_blob, data):
+        blob = bytearray(data.draw(st.sampled_from([valid_blob, per_gate_blob])))
         for _ in range(data.draw(st.integers(1, 4))):
             blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
         blob = bytes(blob[: data.draw(st.integers(0, len(blob)))])
@@ -184,6 +213,59 @@ class TestCheckpointLoader:
             restore_model(load_bytes(scratch, blob))
         except CheckpointError:
             pass
+
+
+class TestPerGateLayout:
+    """Files written before the LSTM gates were stored joined hold each gate
+    as its own array (perfbench/fixture/desk.ckpt is one); restoring joins
+    them, and saving writes the joined layout."""
+
+    def test_round_trip_is_bitwise(self, scratch):
+        sqls = ["SELECT a WHERE b > val0", "SELECT c", "SELECT COUNT d WHERE e = val0"]
+        pairs = [ExamplePair(sql, tokenize_text(template_interpret(parse(sql)))) for sql in sqls]
+        config = TrainConfig(word_dim=4, hidden=4, hop_size=1, epochs=2, batch_size=2, seed=7)
+        model = train(config, pairs).model
+        path = scratch / "trained-per-gate.ckpt"
+        ckpt = ModelCheckpoint.from_model(model)
+        save_checkpoint(path, ModelCheckpoint(ckpt.config, ckpt.src_tokens, ckpt.tgt_tokens, per_gate(ckpt.arrays)))
+        stored = load_checkpoint(path)
+        assert "dec_lstm.i.w" in stored.arrays and "dec_lstm.w" not in stored.arrays
+        restored = restore_model(stored)
+        want = model.store.state_arrays()
+        got = restored.store.state_arrays()
+        assert list(got) == list(want)
+        for name, array in want.items():
+            assert got[name].dtype == array.dtype and got[name].tobytes() == array.tobytes(), name
+        for sql in sqls:
+            assert restored.generate(sql) == model.generate(sql)
+            assert restored.generate(sql, greedy=True) == model.generate(sql, greedy=True)
+        assert list(ModelCheckpoint.from_model(restored).arrays) == list(ckpt.arrays)
+
+    # valid_blob's gate weights are (4, 2) blocks for node_lstm and (8, 2) for dec_lstm.
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda a: [a.pop("dec_lstm.o.w"), a.pop("dec_lstm.o.b")], "'dec_lstm.o.w': None"),
+            (lambda a: a.pop("node_lstm.c.b"), "'node_lstm.c.b': None"),
+            (lambda a: a.update({"node_lstm.f.w": a["node_lstm.f.w"][:, :1]}), "'node_lstm.f.w': (4, 1)"),
+            (lambda a: a.update({"dec_lstm.i.b": a["dec_lstm.i.b"][:1]}), "'dec_lstm.i.b': (1,)"),
+            (lambda a: a.update({"dec_lstm.c.w": a["dec_lstm.c.w"].ravel()}), "'dec_lstm.c.w': (16,)"),
+            (lambda a: a.update({"dec_lstm.w": np.zeros((10, 8), np.float32)}), "'dec_lstm.w': (10, 8)"),
+        ],
+        ids=["three_of_four_gates", "bias_missing", "narrow_block", "short_bias", "flat_block", "both_layouts"],
+    )
+    def test_malformed_set_is_checkpoint_error(self, scratch, per_gate_blob, capsys, edit, named):
+        ckpt = load_bytes(scratch, per_gate_blob)
+        edit(ckpt.arrays)
+        path = scratch / "malformed-per-gate.ckpt"
+        save_checkpoint(path, ckpt)
+        with pytest.raises(CheckpointError, match=re.escape(named)):
+            restore_model(load_checkpoint(path))
+        code = main(["generate", "--checkpoint", str(path), "SELECT a"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert named in err
 
 
 def write_lines(scratch: Path, lines: bytes) -> Path:
